@@ -41,7 +41,6 @@ from .mixture import (
     forget_and_merge,
     gmm_update,
     init_mixture,
-    initialize_suffstats,
     log_likelihood,
     m_step,
     rescale_dominant_mean,

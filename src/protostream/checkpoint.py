@@ -3,8 +3,19 @@
 Checkpoint layout (little-endian): magic ``PDGM``, u32 version, u32 K,
 u32 D, u64 step, then weights (K f64), means (K*D f64 row-major), variances
 (K*D f64), and the sufficient statistics in the same order (counts K f64,
-first moments K*D f64, second moments K*D f64).  A state saved before its
-first update stores zero statistics and loads back with ``suffstats=None``.
+first moments K*D f64, second moments K*D f64).  Statistics are per-sample
+averages and are always present; a fresh state stores its seeded
+pseudo-counts.
+
+Files written by older code keep the same layout and version.  Those saved
+before a first update hold all-zero statistics and load as a fresh state, so
+their statistics are seeded from the parameters.  Those saved later hold
+batch-scale statistics (sums over a batch rather than averages); their
+parameters load unchanged, and nothing resumes from checkpoint statistics.
+
+``load_checkpoint`` rejects non-finite values, weights off the simplex,
+non-positive variances, and negative counts or counts that mix zero with
+positive, naming the offending array's byte offset.
 """
 
 from __future__ import annotations
@@ -20,6 +31,8 @@ MAGIC = b"PDGM"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sIIIQ")
+_ARRAYS = ("weights", "means", "variances", "counts", "first moments",
+           "second moments")
 
 
 class CheckpointError(ValueError):
@@ -31,18 +44,11 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(state: MixtureState, path: str | Path) -> None:
-    k, d = state.k, state.d
-    if state.suffstats is None:
-        s_pi = np.zeros(k)
-        s_mu = np.zeros((k, d))
-        s_sigma = np.zeros((k, d))
-    else:
-        s_pi = state.suffstats.s_pi
-        s_mu = state.suffstats.s_mu
-        s_sigma = state.suffstats.s_sigma
+    stats = state.suffstats
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, k, d, state.step))
-        for arr in (state.weights, state.means, state.variances, s_pi, s_mu, s_sigma):
+        fh.write(_HEADER.pack(MAGIC, VERSION, state.k, state.d, state.step))
+        for arr in (state.weights, state.means, state.variances,
+                    stats.s_pi, stats.s_mu, stats.s_sigma):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -63,17 +69,26 @@ def load_checkpoint(path: str | Path) -> MixtureState:
             f"expected {expected} bytes for K={k}, D={d}, got {len(raw)}",
             min(len(raw), expected),
         )
-    arrays = []
-    for size in sizes:
-        arrays.append(np.frombuffer(raw, dtype="<f8", count=size, offset=offset
-                                    ).astype(np.float64))
+    arrays, starts = [], []
+    for name, size in zip(_ARRAYS, sizes):
+        arr = np.frombuffer(raw, dtype="<f8", count=size, offset=offset
+                            ).astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"non-finite {name}", offset)
+        arrays.append(arr)
+        starts.append(offset)
         offset += 8 * size
     weights, means, variances, s_pi, s_mu, s_sigma = arrays
-    suffstats = None
-    if step > 0:
-        suffstats = SufficientStats(
-            s_pi, s_mu.reshape(k, d), s_sigma.reshape(k, d)
-        )
+    if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-9:
+        raise CheckpointError("weights are off the simplex", starts[0])
+    if np.any(variances <= 0.0):
+        raise CheckpointError("non-positive variances", starts[2])
+    if np.any(s_pi < 0.0) or (s_pi.any() and not s_pi.all()):
+        raise CheckpointError("counts are negative or mix zero with positive",
+                              starts[3])
+    # all-zero counts: a fresh state from older code, seeded on construction
+    suffstats = (SufficientStats(s_pi, s_mu.reshape(k, d), s_sigma.reshape(k, d))
+                 if s_pi.any() else None)
     return MixtureState(
         weights, means.reshape(k, d), variances.reshape(k, d), suffstats, int(step)
     )
@@ -88,11 +103,10 @@ def save_state_csv(state: MixtureState, directory: str | Path) -> list[Path]:
         "weights": state.weights[None, :],
         "means": state.means,
         "variances": state.variances,
+        "s_pi": state.suffstats.s_pi[None, :],
+        "s_mu": state.suffstats.s_mu,
+        "s_sigma": state.suffstats.s_sigma,
     }
-    if state.suffstats is not None:
-        arrays["s_pi"] = state.suffstats.s_pi[None, :]
-        arrays["s_mu"] = state.suffstats.s_mu
-        arrays["s_sigma"] = state.suffstats.s_sigma
     for name, arr in arrays.items():
         path = directory / f"{name}.csv"
         write_matrix_csv(arr, path)

@@ -18,7 +18,6 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -95,18 +94,10 @@ def _run_with_manifest(manifest_path: Path, info: dict, body) -> int:
 def _simulate_one(args_tuple):
     """Worker for grid fan-out; module-level so process pools can pickle it."""
     config_text, overrides, seed, out_dir = args_tuple
-    config = sim_config_from_text(config_text)
-    gmm = replace(
-        config.gmm,
-        responsibility_forgetting=overrides.get("forgetting",
-                                                config.gmm.responsibility_forgetting),
-        annealing=overrides.get("annealing", config.gmm.annealing),
-        resurrect=overrides.get("resurrect", config.gmm.resurrect),
-        rescaling=overrides.get("rescaling", config.gmm.rescaling),
-    )
-    config = replace(config, gmm=gmm)
+    lines = [f"gmm.{name}={int(on)}" for name, on in overrides.items()]
     if seed is not None:
-        config = replace(config, seed=seed)
+        lines.append(f"sim.seed={seed}")
+    config = sim_config_from_text("\n".join([config_text, *lines]))
     result = run_experiment(config, out_dir=out_dir)
     return config, result
 

@@ -1,12 +1,17 @@
 """Online diagonal Gaussian mixture estimation for streaming prototype learning.
 
-The mixture is updated one mini-batch at a time: an annealed E-step produces
-soft assignments, per-batch sufficient statistics are blended into persistent
-accumulators with a responsibility-weighted forgetting factor, and an M-step
-recovers weights, means, and diagonal variances.  The means double as the
-prototype set.  Two regularizers keep long runs healthy: ``split_resurrect``
-halves the mass of an over-weighted component into a reinitialized lightest
-one, and ``rescale_dominant_mean`` shrinks the norm of dominant means.  Within
+The mixture is updated one mini-batch at a time, as stepwise online EM: an
+annealed E-step produces soft assignments, the batch's per-sample sufficient
+statistics are blended into persistent accumulators with a
+responsibility-weighted forgetting factor, and an M-step recovers weights,
+means, and diagonal variances.  The means double as the prototype set.  A
+state carries statistics from the moment it is built: one made from
+parameters alone is seeded with per-sample pseudo-counts whose M-step gives
+those parameters back, so the first update is an ordinary update.
+
+Two regularizers keep long runs healthy: ``split_resurrect`` halves the mass
+of an over-weighted component into a reinitialized lightest one, and
+``rescale_dominant_mean`` shrinks the norm of dominant means.  Within
 ``gmm_update`` both edit the sufficient statistics and the parameters are
 re-derived from them, so after every update the published weights, means and
 variances equal ``m_step`` of the statistics and an edit outlasts the update.
@@ -123,13 +128,27 @@ class SufficientStats:
 
 @dataclass
 class MixtureState:
-    """Mixture weights, means (the prototypes), diagonal variances, and stats."""
+    """Mixture weights, means (the prototypes), diagonal variances, and stats.
+
+    Built with ``suffstats=None``, the state is seeded with per-sample
+    pseudo-counts whose ``m_step`` gives back its parameters: counts equal to
+    the weights, first moments ``weights * means`` and second moments
+    ``weights * (variances + means**2)``.
+    """
 
     weights: np.ndarray  # (K,), on the probability simplex
     means: np.ndarray  # (K, D)
     variances: np.ndarray  # (K, D), elementwise >= variance floor
     suffstats: SufficientStats | None
     step: int
+
+    def __post_init__(self):
+        if self.suffstats is None:
+            w = self.weights[:, None]
+            self.suffstats = SufficientStats(
+                self.weights.copy(), w * self.means,
+                w * (self.variances + self.means * self.means),
+            )
 
     @property
     def k(self) -> int:
@@ -144,7 +163,7 @@ class MixtureState:
             self.weights.copy(),
             self.means.copy(),
             self.variances.copy(),
-            None if self.suffstats is None else self.suffstats.copy(),
+            self.suffstats.copy(),
             self.step,
         )
 
@@ -188,11 +207,12 @@ def spread_unit_vectors(k: int, d: int, rng: np.random.Generator,
 def init_mixture(k: int, d: int, init_points: np.ndarray | None = None,
                  config: GmmConfig | None = None,
                  rng: np.random.Generator | None = None) -> MixtureState:
-    """Build a fresh mixture with uniform weights and unit variances.
+    """Build a fresh mixture with uniform weights and ``init_variance``.
 
     Means are drawn from ``init_points`` without replacement when provided,
     otherwise i.i.d. normal entries scaled by 1/sqrt(d) so the expected norm
-    is 1 regardless of dimension.
+    is 1 regardless of dimension.  The statistics are the seeded pseudo-counts
+    of ``MixtureState``.
     """
     if k < 1 or d < 1:
         raise ValueError(f"k and d must be positive, got k={k}, d={d}")
@@ -283,8 +303,6 @@ def forget_and_merge(state: MixtureState, fresh: SufficientStats,
     responsibility keeps bitwise-identical statistics.  With
     ``use_resp_forgetting`` off the exponent is 1 (plain eta).
     """
-    if state.step < 1 or state.suffstats is None:
-        raise StateError("first update must use initialize_suffstats")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     old = state.suffstats
@@ -300,32 +318,12 @@ def forget_and_merge(state: MixtureState, fresh: SufficientStats,
     s_mu = keep[:, None] * old.s_mu + take[:, None] * fresh.s_mu
     s_sigma = keep[:, None] * old.s_sigma + take[:, None] * fresh.s_sigma
     if gamma_hat is not None:
+        # the blend alone is not bitwise: at gamma=0, 1.0*(-0.0) + 0.0*0.0 is +0.0
         untouched = gamma_hat == 0.0
         if untouched.any():
             s_pi[untouched] = old.s_pi[untouched]
             s_mu[untouched] = old.s_mu[untouched]
             s_sigma[untouched] = old.s_sigma[untouched]
-    return SufficientStats(s_pi, s_mu, s_sigma)
-
-
-def initialize_suffstats(state: MixtureState, fresh: SufficientStats,
-                         views: int, batch_size: int) -> SufficientStats:
-    """First-update statistics: the initial parameters as pseudo-counts.
-
-    Every component is credited views*batch_size/K virtual observations whose
-    moments reproduce the initial means and variances, so the first M-step
-    leaves the parameters where they started and real data takes over through
-    the moving average from the second update on.
-    """
-    if state.step != 0:
-        raise StateError(f"suffstats already initialized (step={state.step})")
-    if fresh.k != state.k or fresh.s_mu.shape != state.means.shape:
-        raise ValueError("fresh statistics do not match the state's shape")
-    count = views * batch_size / state.k
-    s_pi = np.full(state.k, count)
-    s_mu = state.means * count
-    # diagonal of: variances * count + outer(s_mu, s_mu) / count
-    s_sigma = state.variances * count + (s_mu * s_mu) / count
     return SufficientStats(s_pi, s_mu, s_sigma)
 
 
@@ -365,13 +363,11 @@ def split_resurrect(state: MixtureState, threshold: float,
     variances ``init_variance``, and half of the dominant's old mass; the
     dominant keeps the other half.
 
-    With sufficient statistics the split is made on them, so the next update
+    The split is made on the sufficient statistics, so the next update
     carries it forward: the dominant's count and moments are halved (its mean
     and variance are unchanged) and the reborn component's are replaced by the
     other half of the count with the moments of its new mean and variance.
-    The returned parameters are ``m_step`` of the edited statistics.  A state
-    before its first update has no statistics; its weights are edited directly
-    and renormalized once at the end.
+    The returned parameters are ``m_step`` of the edited statistics.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
@@ -386,8 +382,7 @@ def split_resurrect(state: MixtureState, threshold: float,
         return state, [SplitEvent(kind="skipped", dominant=0,
                                   old_weight=float(weights[0]))]
     means = state.means.copy()
-    variances = state.variances.copy()
-    stats = None if state.suffstats is None else state.suffstats.copy()
+    stats = state.suffstats.copy()
     for k in dominant:
         masked = weights.copy()
         masked[k] = np.inf
@@ -397,21 +392,16 @@ def split_resurrect(state: MixtureState, threshold: float,
         direction = rng.standard_normal(state.d)
         direction /= np.linalg.norm(direction)
         means[j] = direction * target_norm
-        variances[j] = init_variance
         weights[k] = weights[j] = old_weight / 2.0
-        if stats is not None:
-            half = stats.s_pi[k] / 2.0
-            stats.s_pi[k] = stats.s_pi[j] = half
-            stats.s_mu[k] /= 2.0
-            stats.s_sigma[k] /= 2.0
-            stats.s_mu[j] = means[j] * half
-            stats.s_sigma[j] = (init_variance + means[j] * means[j]) * half
+        half = stats.s_pi[k] / 2.0
+        stats.s_pi[k] = stats.s_pi[j] = half
+        stats.s_mu[k] /= 2.0
+        stats.s_sigma[k] /= 2.0
+        stats.s_mu[j] = means[j] * half
+        stats.s_sigma[j] = (init_variance + means[j] * means[j]) * half
         events.append(SplitEvent(kind="split", dominant=k, resurrected=j,
                                  old_weight=old_weight))
-    if stats is not None:
-        return _from_stats(stats, variance_floor, state.step), events
-    weights /= weights.sum()
-    return MixtureState(weights, means, variances, None, state.step), events
+    return _from_stats(stats, variance_floor, state.step), events
 
 
 def rescale_dominant_mean(mean: np.ndarray, weight: float,
@@ -447,11 +437,12 @@ def gmm_update(state: MixtureState, batch: np.ndarray, config: GmmConfig,
         eta = config.eta_at(state.step)
     resp = e_step(state, batch, beta)
     fresh = batch_suffstats(batch, resp)
-    if state.step == 0:
-        stats = initialize_suffstats(state, fresh, 1, batch.shape[0])
-    else:
-        stats = forget_and_merge(state, fresh, resp, eta,
-                                 config.responsibility_forgetting)
+    # per-sample averages, on the scale of the seeded pseudo-counts; scaling
+    # the (K,) and (K, D) sums is cheaper than scaling the (N, K) resp
+    n = batch.shape[0]
+    fresh = SufficientStats(fresh.s_pi / n, fresh.s_mu / n, fresh.s_sigma / n)
+    stats = forget_and_merge(state, fresh, resp, eta,
+                             config.responsibility_forgetting)
     new_state = _from_stats(stats, config.variance_floor, state.step + 1)
     if config.resurrect:
         rng = np.random.default_rng([config.rng_seed, _SPLIT_STREAM, state.step])

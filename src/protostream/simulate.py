@@ -488,16 +488,7 @@ def sim_config_from_text(text: str) -> SimConfig:
 
     data = build(_DATA_KEYS, DataSpec, {})
     gmm = build(_GMM_KEYS, GmmConfig, {"total_steps": 0})
-    sim_kwargs = {}
-    for key, raw in mapping.items():
-        if key not in _SIM_KEYS:
-            continue
-        name, typ = _SIM_KEYS[key]
-        try:
-            sim_kwargs[name] = typ(raw)
-        except ValueError as err:
-            raise ConfigError(key, str(err)) from None
-    return SimConfig(data=data, gmm=gmm, **sim_kwargs)
+    return build(_SIM_KEYS, SimConfig, {"data": data, "gmm": gmm})
 
 
 def sim_config_to_mapping(config: SimConfig) -> dict:

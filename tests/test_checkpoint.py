@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from protostream.checkpoint import (
     write_matrix_csv,
 )
 from protostream.mixture import GmmConfig, gmm_update, init_mixture
+
+import oracles
 
 
 def trained_state(seed=0, steps=5, k=4, d=3):
@@ -42,7 +46,26 @@ class TestBinaryRoundTrip:
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
         assert loaded.step == 0
-        assert loaded.suffstats is None
+        # the seeded pseudo-counts are stored: one observation in total
+        s_pi, s_mu, s_sigma = oracles.oracle_init_suffstats(
+            state.means, state.variances, 1.0
+        )
+        np.testing.assert_allclose(loaded.suffstats.s_pi, s_pi, atol=1e-15)
+        np.testing.assert_allclose(loaded.suffstats.s_mu, s_mu, atol=1e-15)
+        np.testing.assert_allclose(loaded.suffstats.s_sigma, s_sigma, atol=1e-15)
+
+    def test_zero_statistics_load_seeded(self, tmp_path):
+        # older code saved a state before its first update with zero statistics
+        state = init_mixture(3, 2, rng=np.random.default_rng(1))
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(state, path)
+        data = path.read_bytes()
+        stats_at = 24 + 8 * (3 + 6 + 6)  # header, weights, means, variances
+        path.write_bytes(data[:stats_at] + bytes(len(data) - stats_at))
+        loaded = load_checkpoint(path)
+        for name in ("s_pi", "s_mu", "s_sigma"):
+            assert (getattr(loaded.suffstats, name).tobytes()
+                    == getattr(state.suffstats, name).tobytes())
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -58,6 +81,41 @@ class TestBinaryRoundTrip:
         path.write_bytes(data[:-16])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+# K=4, D=3: a 24-byte header, then weights (4), means (12), variances (12),
+# counts (4), first and second moments (12 each), 8 bytes per value
+ARRAY_OFFSETS = {"weights": 24, "means": 56, "variances": 152, "counts": 248,
+                 "first": 280, "second": 376}
+
+
+class TestCheckpointValidation:
+    @pytest.mark.parametrize("array, index, value, rule", [
+        pytest.param("weights", 1, float("nan"), "non-finite", id="nan-weight"),
+        pytest.param("second", 5, float("inf"), "non-finite", id="inf-moment"),
+        pytest.param("weights", 2, -0.25, "simplex", id="negative-weight"),
+        pytest.param("weights", 0, None, "simplex", id="weight-sum"),
+        pytest.param("variances", 4, -1.0, "non-positive variances",
+                     id="negative-variance"),
+        pytest.param("variances", 0, 0.0, "non-positive variances",
+                     id="zero-variance"),
+        pytest.param("counts", 3, -0.5, "negative or mix zero",
+                     id="negative-count"),
+        pytest.param("counts", 1, 0.0, "negative or mix zero", id="zero-count"),
+    ])
+    def test_corrupt_value_rejected_with_offset(self, tmp_path, array, index,
+                                                value, rule):
+        path = tmp_path / "state.ckpt"
+        save_checkpoint(trained_state(), path)
+        data = bytearray(path.read_bytes())
+        at = ARRAY_OFFSETS[array] + 8 * index
+        if value is None:  # move the weight sum 1e-6 off one
+            value = struct.unpack_from("<d", data, at)[0] + 1e-6
+        struct.pack_into("<d", data, at, value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=rule) as err:
+            load_checkpoint(path)
+        assert err.value.offset == ARRAY_OFFSETS[array]
 
 
 class TestCsv:

@@ -2,18 +2,17 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from protostream.mixture import (
     DegenerateComponentError,
     GmmConfig,
     MixtureState,
-    StateError,
     batch_suffstats,
     e_step,
     forget_and_merge,
     gmm_update,
     init_mixture,
-    initialize_suffstats,
     m_step,
     rescale_dominant_mean,
     split_resurrect,
@@ -36,7 +35,14 @@ class TestInitMixture:
         assert np.array_equal(state.weights, np.full(4, 0.25))
         assert state.variances.shape == (4, 2)
         assert np.all(state.variances == 1.0)
-        assert state.suffstats is None and state.step == 0
+        assert state.step == 0
+        # seeded per-sample pseudo-counts: one observation in total
+        s_pi, s_mu, s_sigma = oracles.oracle_init_suffstats(
+            state.means, state.variances, 1.0
+        )
+        np.testing.assert_allclose(state.suffstats.s_pi, s_pi, atol=1e-15)
+        np.testing.assert_allclose(state.suffstats.s_mu, s_mu, atol=1e-15)
+        np.testing.assert_allclose(state.suffstats.s_sigma, s_sigma, atol=1e-15)
 
     def test_means_sampled_without_replacement(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -225,57 +231,6 @@ class TestForgetAndMerge:
         with pytest.raises(ValueError):
             forget_and_merge(state, fresh, resp, eta=1.5)
 
-    def test_requires_initialized_state(self):
-        rng = np.random.default_rng(4)
-        state = init_mixture(3, 2, rng=rng)
-        batch = rng.standard_normal((4, 2))
-        resp = e_step(state, batch, beta=1.0)
-        fresh = batch_suffstats(batch, resp)
-        with pytest.raises(StateError):
-            forget_and_merge(state, fresh, resp, eta=0.5)
-
-
-class TestInitializeSuffstats:
-    def test_counts_are_views_batch_over_k(self):
-        rng = np.random.default_rng(0)
-        state = init_mixture(4, 2, rng=rng)
-        batch = rng.standard_normal((16, 2))
-        fresh = batch_suffstats(batch, e_step(state, batch, beta=1.0))
-        stats = initialize_suffstats(state, fresh, views=2, batch_size=8)
-        np.testing.assert_array_equal(stats.s_pi, np.full(4, 4.0))
-
-    def test_first_moment_scales_mean(self):
-        rng = np.random.default_rng(1)
-        state = init_mixture(4, 2, rng=rng)
-        state.means = np.array([[1.0, 0.0]] * 4)
-        batch = rng.standard_normal((16, 2))
-        fresh = batch_suffstats(batch, e_step(state, batch, beta=1.0))
-        stats = initialize_suffstats(state, fresh, views=2, batch_size=8)
-        np.testing.assert_allclose(stats.s_mu[0], [4.0, 0.0])
-
-    def test_matches_hand_evaluated_formula(self):
-        rng = np.random.default_rng(2)
-        state = init_mixture(2, 2, rng=rng)
-        state.means = rng.standard_normal((2, 2))
-        state.variances = rng.uniform(0.5, 2.0, size=(2, 2))
-        batch = rng.standard_normal((6, 2))
-        fresh = batch_suffstats(batch, e_step(state, batch, beta=1.0))
-        stats = initialize_suffstats(state, fresh, views=1, batch_size=6)
-        s_pi, s_mu, s_sigma = oracles.oracle_init_suffstats(
-            state.means, state.variances, 6
-        )
-        np.testing.assert_allclose(stats.s_pi, s_pi, atol=1e-12)
-        np.testing.assert_allclose(stats.s_mu, s_mu, atol=1e-12)
-        np.testing.assert_allclose(stats.s_sigma, s_sigma, atol=1e-12)
-
-    def test_rejects_non_fresh_state(self):
-        rng = np.random.default_rng(3)
-        state = small_state_with_stats(rng)
-        batch = rng.standard_normal((4, 2))
-        fresh = batch_suffstats(batch, e_step(state, batch, beta=1.0))
-        with pytest.raises(StateError):
-            initialize_suffstats(state, fresh, views=1, batch_size=4)
-
 
 class TestMStep:
     def test_single_component_sample_moments(self):
@@ -324,8 +279,9 @@ class TestMStep:
 
 class TestSplitResurrect:
     def test_fixture_split(self):
-        state = init_mixture(3, 4, rng=np.random.default_rng(0))
-        state.weights = np.array([0.4, 0.35, 0.25])
+        base = init_mixture(3, 4, rng=np.random.default_rng(0))
+        state = MixtureState(np.array([0.4, 0.35, 0.25]), base.means,
+                             base.variances, None, 0)
         before = state.copy()
         new_state, events = split_resurrect(state, 0.3, np.random.default_rng(1))
         splits = [e for e in events if e.kind == "split"]
@@ -337,7 +293,7 @@ class TestSplitResurrect:
         assert abs(new_state.weights.sum() - 1.0) < 1e-12
         assert new_state.weights.max() < before.weights.max()
         assert not np.array_equal(new_state.means[2], before.means[2])
-        np.testing.assert_array_equal(new_state.variances[2], np.ones(4))
+        np.testing.assert_allclose(new_state.variances[2], np.ones(4), atol=1e-12)
 
     def test_nothing_over_threshold(self):
         state = init_mixture(5, 2, rng=np.random.default_rng(0))
@@ -354,8 +310,9 @@ class TestSplitResurrect:
 
     def test_resurrected_norm_matches_mean_norm(self):
         rng = np.random.default_rng(3)
-        state = init_mixture(4, 6, rng=rng)
-        state.weights = np.array([0.7, 0.1, 0.1, 0.1])
+        base = init_mixture(4, 6, rng=rng)
+        state = MixtureState(np.array([0.7, 0.1, 0.1, 0.1]), base.means,
+                             base.variances, None, 0)
         target = np.linalg.norm(state.means, axis=1).mean()
         new_state, events = split_resurrect(state, 0.3, np.random.default_rng(4))
         j = events[0].resurrected
@@ -372,24 +329,18 @@ class TestSplitResurrect:
                    + (s_mu / s_pi[:, None]) ** 2) * s_pi[:, None]
         stats = SufficientStats(s_pi, s_mu, s_sigma)
         state = MixtureState(*m_step(stats, 1e-6), stats, 1)
-        bare = MixtureState(state.weights, state.means, state.variances, None, 1)
         new_state, events = split_resurrect(state, 0.3, np.random.default_rng(2),
                                             init_variance=0.25)
-        bare_state, _ = split_resurrect(bare, 0.3, np.random.default_rng(2),
-                                        init_variance=0.25)
         assert [(e.dominant, e.resurrected) for e in events] == [(0, 2), (1, 0)]
-        np.testing.assert_array_equal(bare_state.variances[[2, 0]],
-                                      np.full((2, 4), 0.25))
         derived = m_step(new_state.suffstats, 1e-6)
         for got, want in zip((new_state.weights, new_state.means,
                               new_state.variances), derived):
             np.testing.assert_array_equal(got, want)
-        # the same split as on the bare parameters, now held in the statistics
-        np.testing.assert_allclose(new_state.weights, bare_state.weights, atol=1e-12)
-        np.testing.assert_allclose(new_state.means, bare_state.means, atol=1e-12)
-        np.testing.assert_allclose(new_state.variances, bare_state.variances,
-                                   atol=1e-12)
         np.testing.assert_allclose(new_state.suffstats.s_pi, [3.5, 3.5, 4.0])
+        np.testing.assert_allclose(new_state.weights, [3.5 / 11, 3.5 / 11, 4 / 11])
+        # reborn components start from init_variance
+        np.testing.assert_allclose(new_state.variances[[2, 0]],
+                                   np.full((2, 4), 0.25), atol=1e-12)
         # the caller's statistics are not mutated
         np.testing.assert_array_equal(state.suffstats.s_pi, s_pi)
 
@@ -425,18 +376,18 @@ def separated_batch(rng, k, d, n, spread=0.05):
 
 
 class TestGmmUpdate:
-    def test_first_update_keeps_parameters(self):
+    def test_first_update_is_one_em_step(self):
         rng = np.random.default_rng(0)
         config = toggles_off()
         state = init_mixture(3, 2, rng=rng)
         batch = rng.standard_normal((12, 2))
         new_state = gmm_update(state, batch, config, beta=1.0, eta=0.0)
         assert new_state.step == 1
-        assert new_state.suffstats is not None
-        np.testing.assert_array_equal(new_state.suffstats.s_pi, np.full(3, 4.0))
-        np.testing.assert_allclose(new_state.weights, state.weights, atol=1e-12)
-        np.testing.assert_allclose(new_state.means, state.means, atol=1e-12)
-        np.testing.assert_allclose(new_state.variances, state.variances, atol=1e-12)
+        ow, om, ov = oracles.oracle_em_step(batch, state.weights, state.means,
+                                            state.variances)
+        np.testing.assert_allclose(new_state.weights, ow, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(new_state.means, om, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(new_state.variances, ov, rtol=0, atol=1e-12)
 
     def test_matches_batch_em(self):
         rng = np.random.default_rng(1234)
@@ -448,9 +399,9 @@ class TestGmmUpdate:
         iters = 20
         for _ in range(iters):
             state = gmm_update(state, batch, config, beta=1.0, eta=0.0)
-        # the first update reproduces the initial parameters, so T streaming
-        # updates with full replacement equal T-1 classical EM iterations
-        ow, om, ov = oracles.oracle_em_run(batch, ow, om, ov, iters - 1)
+        # with full replacement each streaming update is one classical EM
+        # iteration on the batch
+        ow, om, ov = oracles.oracle_em_run(batch, ow, om, ov, iters)
         np.testing.assert_allclose(state.weights, ow, atol=1e-6)
         np.testing.assert_allclose(state.means, om, atol=1e-6)
         np.testing.assert_allclose(state.variances, ov, atol=1e-6)
@@ -591,8 +542,9 @@ class TestInvariants:
         rng = np.random.default_rng(21)
         for trial in range(50):
             k = int(rng.integers(2, 8))
-            state = init_mixture(k, 3, rng=rng)
-            state.weights = rng.dirichlet(np.ones(k) * 0.3)
+            base = init_mixture(k, 3, rng=rng)
+            state = MixtureState(rng.dirichlet(np.ones(k) * 0.3), base.means,
+                                 base.variances, None, 0)
             new_state, events = split_resurrect(state, 0.3, rng)
             assert abs(new_state.weights.sum() - 1.0) < 1e-9
             if any(e.kind == "split" for e in events):
@@ -605,3 +557,63 @@ class TestInvariants:
         np.fill_diagonal(g, -1.0)
         # pairwise angle of at least 60 degrees
         assert g.max() < 0.5
+
+
+def _invariant_stream(k, d, threshold, toggles, seed, steps):
+    """Run a random stream, checking the mixture invariant after each update.
+
+    Returns the number of updates after which some weight exceeded the
+    threshold, i.e. the updates that rescaled a mean when rescaling is on.
+    """
+    forgetting, annealing, resurrect, rescaling = toggles
+    config = GmmConfig(total_steps=steps, rng_seed=seed,
+                       resurrect_threshold=threshold,
+                       responsibility_forgetting=forgetting, annealing=annealing,
+                       resurrect=resurrect, rescaling=rescaling)
+    rng = np.random.default_rng(seed)
+    state = init_mixture(k, d, rng=rng)
+    centers = 3.0 * rng.standard_normal((int(rng.integers(1, 4)), d))
+    hot = 0
+    for _ in range(steps):
+        n = int(rng.integers(1, 40))
+        batch = (centers[rng.integers(0, centers.shape[0], size=n)]
+                 + rng.uniform(0.01, 1.0) * rng.standard_normal((n, d)))
+        state = gmm_update(state, batch, config)
+        derived = m_step(state.suffstats, config.variance_floor)
+        for got, want in zip((state.weights, state.means, state.variances),
+                             derived):
+            assert got.tobytes() == want.tobytes()
+        assert np.all(state.weights >= 0.0)
+        assert abs(state.weights.sum() - 1.0) < 1e-9
+        assert np.all(state.variances >= config.variance_floor)
+        for arr in (state.weights, state.means, state.variances,
+                    state.suffstats.s_pi, state.suffstats.s_mu,
+                    state.suffstats.s_sigma):
+            assert np.all(np.isfinite(arr))
+        hot += bool(np.any(state.weights > threshold))
+    return hot
+
+
+# a low threshold on a three-cluster stream: splits and rescales in many of
+# its updates (test_example_splits_and_rescales checks this)
+SPLIT_AND_RESCALE = dict(k=6, d=3, threshold=0.2, toggles=(True, True, True, True),
+                         seed=1, steps=30)
+
+
+class TestMixtureProperty:
+    """After every update: parameters == m_step(stats), simplex, floor, finite."""
+
+    @given(k=st.integers(2, 8), d=st.integers(1, 4),
+           threshold=st.floats(0.05, 0.5),
+           toggles=st.tuples(*[st.booleans()] * 4),
+           seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 30))
+    @example(**SPLIT_AND_RESCALE)
+    def test_invariant_after_every_update(self, k, d, threshold, toggles, seed,
+                                          steps):
+        _invariant_stream(k, d, threshold, toggles, seed, steps)
+
+    def test_example_splits_and_rescales(self, caplog):
+        with caplog.at_level(logging.INFO, logger="protostream.mixture"):
+            hot = _invariant_stream(**SPLIT_AND_RESCALE)
+        splits = [r for r in caplog.records if r.msg.startswith("split")]
+        assert len(splits) > 5 and hot > 5, (len(splits), hot)
