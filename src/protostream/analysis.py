@@ -10,6 +10,7 @@ no plotting happens here.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,8 @@ logger = logging.getLogger(__name__)
 
 _POWER_TOL = 1e-10
 _POWER_MAX_ITER = 10_000
+# grid points per block in vmf_kde_angles: bounds its temporary to block * K
+_VMF_GRID_BLOCK = 64
 
 
 class DegenerateRankError(RuntimeError):
@@ -143,10 +146,12 @@ def gaussian_kde2d(points: np.ndarray, grid: GridSpec2D | None = None,
             raise ValueError(f"bandwidth must be positive, got {bw}")
     xs = np.linspace(grid.x_min, grid.x_max, grid.n)
     ys = np.linspace(grid.y_min, grid.y_max, grid.n)
-    dx = (xs[None, :, None] - points[None, None, :, 0]) / bw[0]
-    dy = (ys[:, None, None] - points[None, None, :, 1]) / bw[1]
-    kernels = np.exp(-0.5 * (dx * dx + dy * dy))
-    density = kernels.sum(axis=2) / (points.shape[0] * 2.0 * np.pi * bw[0] * bw[1])
+    # the kernel is separable: exp(-(dx^2 + dy^2)/2) = exp(-dx^2/2) exp(-dy^2/2),
+    # so the grid sum over points is one (n, K) x (K, n) product
+    dx = (xs[:, None] - points[None, :, 0]) / bw[0]
+    dy = (ys[:, None] - points[None, :, 1]) / bw[1]
+    density = np.exp(-0.5 * dy * dy) @ np.exp(-0.5 * dx * dx).T
+    density /= points.shape[0] * 2.0 * np.pi * bw[0] * bw[1]
     return KdeGrid(x=xs, y=ys, density=density, bandwidth=bw)
 
 
@@ -157,8 +162,8 @@ def vmf_kde_angles(points2d: np.ndarray, kappa: float = 20.0,
     Each point contributes exp(kappa*cos(a - a_i)) / (2*pi*I0(kappa)); zero
     length points carry no angle and are skipped (count reported on the grid).
     """
-    if kappa <= 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not (math.isfinite(kappa) and kappa > 0.0):
+        raise ValueError(f"kappa must be finite and positive, got {kappa}")
     points2d = np.asarray(points2d, dtype=np.float64)
     lengths = np.hypot(points2d[:, 0], points2d[:, 1])
     keep = lengths > 0.0
@@ -171,7 +176,14 @@ def vmf_kde_angles(points2d: np.ndarray, kappa: float = 20.0,
     angles = np.arctan2(pts[:, 1], pts[:, 0])
     grid = np.linspace(-np.pi, np.pi, n_samples)
     norm = 2.0 * np.pi * float(bessel_i0(kappa))
-    density = np.exp(kappa * np.cos(grid[:, None] - angles[None, :])).sum(axis=1)
+    density = np.empty(n_samples)
+    for start in range(0, n_samples, _VMF_GRID_BLOCK):
+        # each grid point is still one row reduction over all points
+        terms = np.subtract.outer(grid[start:start + _VMF_GRID_BLOCK], angles)
+        np.cos(terms, out=terms)
+        terms *= kappa
+        np.exp(terms, out=terms)
+        density[start:start + _VMF_GRID_BLOCK] = terms.sum(axis=1)
     density /= pts.shape[0] * norm
     return KdeGrid(x=grid, y=None, density=density, bandwidth=(0.0, 0.0),
                    kappa=kappa, skipped_points=skipped)

@@ -20,6 +20,7 @@ positive, naming the offending array's byte offset.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -53,31 +54,37 @@ def save_checkpoint(state: MixtureState, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> MixtureState:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise CheckpointError("file too short for header", len(raw))
-    magic, version, k, d, step = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise CheckpointError(f"bad magic {magic!r}", 0)
-    if version != VERSION:
-        raise CheckpointError(f"unsupported version {version}", 4)
-    offset = _HEADER.size
-    sizes = [k, k * d, k * d, k, k * d, k * d]
-    expected = offset + 8 * sum(sizes)
-    if len(raw) != expected:
-        raise CheckpointError(
-            f"expected {expected} bytes for K={k}, D={d}, got {len(raw)}",
-            min(len(raw), expected),
-        )
-    arrays, starts = [], []
-    for name, size in zip(_ARRAYS, sizes):
-        arr = np.frombuffer(raw, dtype="<f8", count=size, offset=offset
-                            ).astype(np.float64)
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"non-finite {name}", offset)
-        arrays.append(arr)
-        starts.append(offset)
-        offset += 8 * size
+    with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise CheckpointError("file too short for header", len(header))
+        magic, version, k, d, step = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise CheckpointError(f"bad magic {magic!r}", 0)
+        if version != VERSION:
+            raise CheckpointError(f"unsupported version {version}", 4)
+        offset = _HEADER.size
+        sizes = [k, k * d, k * d, k, k * d, k * d]
+        expected = offset + 8 * sum(sizes)
+        if file_size != expected:
+            raise CheckpointError(
+                f"expected {expected} bytes for K={k}, D={d}, got {file_size}",
+                min(file_size, expected),
+            )
+        # each array is read straight into its own buffer: no file-sized copy
+        # of the payload, and the means load_matrix keeps hold nothing else
+        arrays, starts = [], []
+        for name, size in zip(_ARRAYS, sizes):
+            arr = np.empty(size, dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise CheckpointError(f"truncated {name}", offset)
+            arr = arr.astype(np.float64, copy=False)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"non-finite {name}", offset)
+            arrays.append(arr)
+            starts.append(offset)
+            offset += 8 * size
     weights, means, variances, s_pi, s_mu, s_sigma = arrays
     if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-9:
         raise CheckpointError("weights are off the simplex", starts[0])

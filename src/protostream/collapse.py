@@ -5,11 +5,20 @@ each prototype joins the first existing representative v with
 1 - v.c < epsilon, otherwise it opens a new partition.  The number of
 partitions M is the unique-prototype count.  Greedy first-fit is an
 upper-bound heuristic for the minimal covering, chosen for determinism and
-O(K*M*D) cost.  At epsilon 0 every prototype counts as unique.
+O(K*M*D) cost.
+
+At epsilon 0 every prototype counts as unique and no dot product is taken.
+For epsilon > 0 the rows are scanned in blocks of ``_ROW_BLOCK``: per
+block, one GEMM against the representatives found so far (kept in a
+preallocated K x D buffer) and one Gram matrix of the block's unplaced
+rows.  The cost is a few BLAS calls per block and the temporaries are
+O(block * K).  ``angular_stats`` accumulates its histogram, minimum and sum
+over the same row blocks instead of holding all K(K-1)/2 angles at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +30,10 @@ from .mixture import StateError
 ANGLE_PAIR_K_CAP = 10_000
 _ANGLE_PAIR_BUDGET = 2_000_000
 _ANGLE_SEED = 1234
+# rows per block in count_unique and angular_stats, pairs per chunk of the
+# subsampled angles: each bounds a temporary to block * K or chunk * D floats
+_ROW_BLOCK = 256
+_ANGLE_PAIR_CHUNK = 1 << 15
 
 
 @dataclass
@@ -72,35 +85,60 @@ def normalize_rows(matrix: np.ndarray | PrototypeMatrix) -> PrototypeMatrix:
     return PrototypeMatrix(rows / norms[:, None], normalized=True)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
+
+
 def count_unique(protos: PrototypeMatrix, epsilon: float) -> CollapseReport:
     """Greedy epsilon-ball partition count in row-index order."""
     if not isinstance(protos, PrototypeMatrix) or not protos.normalized:
         raise StateError("count_unique requires a normalized PrototypeMatrix")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    epsilon = float(epsilon)
+    _check_epsilon(epsilon)
     rows = protos.rows
     k = rows.shape[0]
+    assignment = np.arange(k)
     rep_indices: list[int] = []
-    assignment = np.empty(k, dtype=np.int64)
-    rep_block = np.empty((0, rows.shape[1]))
-    for i in range(k):
-        if rep_indices:
-            sims = rep_block @ rows[i]
-            # clip float overshoot above 1 so identical rows never merge at eps=0
-            np.minimum(sims, 1.0, out=sims)
-            hits = np.flatnonzero(1.0 - sims < epsilon)
-        else:
-            hits = np.empty(0, dtype=np.int64)
-        if hits.size:
-            assignment[i] = hits[0]
-        else:
-            assignment[i] = len(rep_indices)
-            rep_indices.append(i)
-            rep_block = np.vstack([rep_block, rows[i]])
+    if epsilon == 0.0:
+        # 1 - v.c < 0 would need a float overshoot v.c > 1, which the
+        # definition does not count as a merge: every row is its own partition
+        rep_indices = list(range(k))
+    else:
+        # for epsilon > 0 an overshoot v.c > 1 merges with or without a clip
+        reps = np.empty_like(rows)
+        for start in range(0, k, _ROW_BLOCK):
+            block = rows[start:start + _ROW_BLOCK]
+            owner = np.full(block.shape[0], -1)
+            m = len(rep_indices)
+            if m:
+                hit = 1.0 - block @ reps[:m].T < epsilon
+                found = hit.any(axis=1)
+                # the lowest-index representative that covers the row
+                owner[found] = hit[found].argmax(axis=1)
+            free = np.flatnonzero(owner < 0)
+            if free.size:
+                # unplaced rows can only join representatives opened earlier
+                # in this block; each new one takes every later unplaced row
+                # it covers, which is first-fit because it is the lowest
+                # representative still open to them
+                unplaced = block[free]
+                near = 1.0 - unplaced @ unplaced.T < epsilon
+                pending = np.ones(free.size, dtype=bool)
+                for a in range(free.size):
+                    if not pending[a]:
+                        continue
+                    members = pending & near[a]
+                    members[a] = True  # even where 1 - v.v rounds above epsilon
+                    owner[free[members]] = len(rep_indices)
+                    pending &= ~members
+                    reps[len(rep_indices)] = block[free[a]]
+                    rep_indices.append(start + int(free[a]))
+            assignment[start:start + block.shape[0]] = owner
     m = len(rep_indices)
     sizes = np.bincount(assignment, minlength=m)
     return CollapseReport(
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         unique_count=m,
         unique_fraction=m / k,
         partition_sizes=[int(s) for s in sizes],
@@ -113,8 +151,8 @@ def epsilon_sweep(protos: PrototypeMatrix, epsilons) -> list[CollapseReport]:
     eps = [float(e) for e in epsilons]
     if not eps:
         raise ValueError("epsilon list is empty")
-    if any(e < 0.0 for e in eps):
-        raise ValueError("epsilons must be non-negative")
+    for e in eps:
+        _check_epsilon(e)
     if any(b < a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilons must be sorted ascending")
     return [count_unique(protos, e) for e in eps]
@@ -143,28 +181,42 @@ def angular_stats(protos: PrototypeMatrix, bins: int = 180,
         i = rng.integers(0, k, size=_ANGLE_PAIR_BUDGET)
         j = rng.integers(0, k - 1, size=_ANGLE_PAIR_BUDGET)
         j = np.where(j >= i, j + 1, j)
-        dots = np.einsum("ij,ij->i", rows[i], rows[j])
-        angles = np.degrees(np.arccos(np.clip(dots, -1.0, 1.0)))
+        chunks = (np.einsum("ij,ij->i", rows[i[s:s + _ANGLE_PAIR_CHUNK]],
+                            rows[j[s:s + _ANGLE_PAIR_CHUNK]])
+                  for s in range(0, _ANGLE_PAIR_BUDGET, _ANGLE_PAIR_CHUNK))
     else:
-        chunks = []
-        block = 512
-        for start in range(0, k - 1, block):
-            stop = min(start + block, k - 1)
-            dots = rows[start:stop] @ rows.T
-            for local, i in enumerate(range(start, stop)):
-                chunks.append(dots[local, i + 1:])
-        dots = np.concatenate(chunks)
-        angles = np.degrees(np.arccos(np.clip(dots, -1.0, 1.0)))
-    counts, edges = np.histogram(angles, bins=bins, range=(0.0, 180.0))
+        chunks = _upper_triangle_dots(rows)
+    counts = np.zeros(bins, dtype=np.intp)
+    min_deg, total, used = np.inf, 0.0, 0
+    for dots in chunks:
+        angles = np.clip(dots, -1.0, 1.0, out=dots)
+        np.arccos(angles, out=angles)
+        np.degrees(angles, out=angles)
+        block_counts, edges = np.histogram(angles, bins=bins, range=(0.0, 180.0))
+        counts += block_counts
+        min_deg = min(min_deg, float(angles.min()))
+        total += float(angles.sum())
+        used += angles.size
     return AngularStats(
-        min_deg=float(angles.min()),
-        mean_deg=float(angles.mean()),
+        min_deg=min_deg,
+        mean_deg=total / used,
         hist_counts=counts,
         hist_edges_deg=edges,
         n_pairs_total=n_total,
-        n_pairs_used=int(angles.size),
+        n_pairs_used=used,
         subsampled=subsampled,
     )
+
+
+def _upper_triangle_dots(rows: np.ndarray):
+    """Yield the dots of every pair i < j, one block of rows at a time."""
+    k = rows.shape[0]
+    for start in range(0, k - 1, _ROW_BLOCK):
+        block = rows[start:start + _ROW_BLOCK]
+        stop = start + block.shape[0]
+        yield (block @ block.T)[np.triu_indices(block.shape[0], 1)]
+        if stop < k:
+            yield (block @ rows[stop:].T).ravel()
 
 
 def write_reports_csv(reports: list[CollapseReport], path: str | Path) -> None:

@@ -3,7 +3,8 @@
 Everything here is deliberately written as straight-line scalar loops over
 plain arrays and imports nothing from the production package, so agreement
 between an oracle and the library is meaningful evidence of correctness.
-Sizes are expected to stay small (K, D <= 16, N <= 512).
+Sizes are expected to stay small (K, D <= 16, N <= 512); the greedy
+partition also runs on a few hundred rows of low dimension.
 """
 
 import math
@@ -130,23 +131,35 @@ def finite_diff(fn, params, step=1e-5):
     return grad
 
 
-def oracle_greedy_unique(rows, epsilon):
-    """Greedy first-fit unique-prototype count on unit rows, scalar loops."""
+def oracle_greedy_partition(rows, epsilon):
+    """Greedy first-fit partition of unit rows, scalar loops.
+
+    Returns (assignment, representatives): the partition index of every row
+    and the row index that opened each partition.
+    """
     reps = []
+    assignment = []
     for i in range(len(rows)):
-        placed = False
-        for r in reps:
+        owner = None
+        for p, r in enumerate(reps):
             dot = 0.0
             for j in range(len(rows[i])):
                 dot += rows[r][j] * rows[i][j]
             if dot > 1.0:
                 dot = 1.0
             if 1.0 - dot < epsilon:
-                placed = True
+                owner = p
                 break
-        if not placed:
+        if owner is None:
+            owner = len(reps)
             reps.append(i)
-    return len(reps)
+        assignment.append(owner)
+    return assignment, reps
+
+
+def oracle_greedy_unique(rows, epsilon):
+    """Greedy first-fit unique-prototype count on unit rows, scalar loops."""
+    return len(oracle_greedy_partition(rows, epsilon)[1])
 
 
 def jacobi_eigh(matrix, sweeps=50, tol=1e-12):

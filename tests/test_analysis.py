@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from scipy.special import i0
 
+from protostream import analysis
 from protostream.analysis import (
     DegenerateRankError,
     GridSpec2D,
@@ -104,6 +108,17 @@ class TestGaussianKde2d:
         b = gaussian_kde2d(pts[::-1], bandwidth=0.2)
         np.testing.assert_allclose(a.density, b.density, atol=1e-12)
 
+    def test_matches_three_dimensional_sum(self):
+        # the separable product against the direct (n, n, K) kernel sum
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(-1, 1, size=(500, 2))
+        kde = gaussian_kde2d(pts, bandwidth=(0.05, 0.08))
+        dx = (kde.x[None, :, None] - pts[None, None, :, 0]) / 0.05
+        dy = (kde.y[:, None, None] - pts[None, None, :, 1]) / 0.08
+        want = np.exp(-0.5 * (dx * dx + dy * dy)).sum(axis=2)
+        want /= 500 * 2.0 * np.pi * 0.05 * 0.08
+        np.testing.assert_allclose(kde.density, want, rtol=1e-12, atol=0)
+
     def test_bad_bandwidth(self):
         with pytest.raises(ValueError):
             gaussian_kde2d(np.zeros((3, 2)), bandwidth=0.0)
@@ -152,6 +167,23 @@ class TestVmfKdeAngles:
     def test_bad_kappa(self):
         with pytest.raises(ValueError):
             vmf_kde_angles(np.ones((3, 2)), kappa=0.0)
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf])
+    def test_non_finite_kappa_rejected(self, kappa):
+        with pytest.raises(ValueError, match="finite"):
+            vmf_kde_angles(np.ones((3, 2)), kappa=kappa)
+
+    @pytest.mark.parametrize("block", [1, 7, analysis._VMF_GRID_BLOCK, 5000])
+    def test_grid_blocks_bitwise_equal_one_pass(self, block):
+        rng = np.random.default_rng(11)
+        pts = rng.standard_normal((300, 2))
+        with mock.patch.object(analysis, "_VMF_GRID_BLOCK", block):
+            kde = vmf_kde_angles(pts, kappa=7.5, n_samples=1000)
+        angles = np.arctan2(pts[:, 1], pts[:, 0])
+        grid = np.linspace(-np.pi, np.pi, 1000)
+        want = np.exp(7.5 * np.cos(grid[:, None] - angles[None, :])).sum(axis=1)
+        want /= 300 * 2.0 * np.pi * float(i0(7.5))
+        assert np.array_equal(kde.density, want)
 
 
 class TestExportPipeline:

@@ -86,6 +86,15 @@ class TestAnalyze:
         assert lines[1].startswith("0.5,3,1")
         assert (tmp_path / "sweep_angles.csv").exists()
 
+    def test_nan_epsilon_exit_2(self, tmp_path):
+        protos = tmp_path / "protos.csv"
+        write_matrix_csv(np.eye(3), protos)
+        out = tmp_path / "sweep.csv"
+        code = main(["analyze", "--protos", str(protos), "--out", str(out),
+                     "--epsilons", "0.5,nan,0.1"])
+        assert code == 2
+        assert not out.exists()
+
     def test_corrupt_magic_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"PDGX" + b"\x00" * 100)

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from protostream import collapse
 from protostream.collapse import (
+    DEFAULT_EPSILON_GRID,
     AngularStats,
     PrototypeMatrix,
     angular_stats,
@@ -118,6 +123,46 @@ class TestCountUnique:
                 )
                 assert count_unique(dup, eps).unique_count <= base + 0
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+    def test_non_finite_epsilon_rejected(self, eps):
+        protos = normalize_rows(np.eye(3))
+        with pytest.raises(ValueError, match="finite"):
+            count_unique(protos, eps)
+
+
+def clustered_rows(seed, k, d, n_base, noise):
+    """k unit rows around n_base directions; noise 0 gives exact duplicates."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((n_base, d))
+    rows = base[rng.integers(0, n_base, size=k)]
+    rows = rows + noise * rng.standard_normal((k, d))
+    return normalize_rows(rows)
+
+
+class TestCountUniqueBlocked:
+    """The blocked scan against the scalar first-fit partition."""
+
+    @settings(max_examples=25)
+    @given(k=st.integers(1, 700), d=st.integers(2, 5), n_base=st.integers(1, 40),
+           noise=st.sampled_from([0.0, 1e-3, 0.05, 0.3]),
+           block=st.sampled_from([1, 7, 64, collapse._ROW_BLOCK]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(k=700, d=3, n_base=40, noise=0.05, block=collapse._ROW_BLOCK, seed=0)
+    @example(k=700, d=3, n_base=5, noise=0.0, block=collapse._ROW_BLOCK, seed=1)
+    def test_report_matches_oracle(self, k, d, n_base, noise, block, seed):
+        protos = clustered_rows(seed, k, d, n_base, noise)
+        rows = protos.rows.tolist()
+        with mock.patch.object(collapse, "_ROW_BLOCK", block):
+            for eps in DEFAULT_EPSILON_GRID:
+                report = count_unique(protos, eps)
+                assignment, reps = oracles.oracle_greedy_partition(rows, eps)
+                sizes = np.bincount(assignment, minlength=len(reps)).tolist()
+                assert report.representative_indices == reps
+                assert report.partition_sizes == sizes
+                assert report.unique_count == len(reps)
+                assert report.unique_fraction == len(reps) / k
+                assert report.epsilon == eps
+
 
 class TestEpsilonSweep:
     def test_identical_pair_composition(self):
@@ -143,6 +188,12 @@ class TestEpsilonSweep:
             epsilon_sweep(protos, [0.1, 0.05])
         with pytest.raises(ValueError):
             epsilon_sweep(protos, [])
+
+    def test_nan_in_grid_rejected(self):
+        # NaN compares false both ways, so the ascending check alone passes it
+        protos = normalize_rows(np.eye(3))
+        with pytest.raises(ValueError, match="finite"):
+            epsilon_sweep(protos, [0.5, float("nan"), 0.1])
 
 
 class TestAngularStats:
@@ -184,3 +235,43 @@ class TestAngularStats:
         protos = PrototypeMatrix(np.ones((1, 3)) / np.sqrt(3), normalized=True)
         with pytest.raises(ValueError):
             angular_stats(protos)
+
+
+def full_gram_angles(rows):
+    """Every pair's angle from one K x K Gram matrix."""
+    k = rows.shape[0]
+    dots = (rows @ rows.T)[np.triu_indices(k, 1)]
+    return np.degrees(np.arccos(np.clip(dots, -1.0, 1.0)))
+
+
+class TestAngularStatsBlocked:
+    def test_several_blocks_match_full_gram(self):
+        k = 2 * collapse._ROW_BLOCK + 89
+        protos = clustered_rows(11, k, 6, 30, 0.05)
+        stats = angular_stats(protos)
+        angles = full_gram_angles(protos.rows)
+        counts, edges = np.histogram(angles, bins=180, range=(0.0, 180.0))
+        assert np.array_equal(stats.hist_counts, counts)
+        assert np.array_equal(stats.hist_edges_deg, edges)
+        assert stats.min_deg == angles.min()
+        assert stats.mean_deg == pytest.approx(angles.mean(), rel=1e-12)
+        assert stats.n_pairs_used == stats.n_pairs_total == angles.size
+
+    def test_subsampled_chunks_match_one_pass(self):
+        protos = unit_rows(np.random.default_rng(12), 64, 4)
+        budget, chunk = 100_003, 4096  # a ragged last chunk
+        with mock.patch.multiple(collapse, _ANGLE_PAIR_BUDGET=budget,
+                                 _ANGLE_PAIR_CHUNK=chunk):
+            stats = angular_stats(protos, bins=90, pair_k_cap=32)
+        rng = np.random.default_rng(collapse._ANGLE_SEED)
+        i = rng.integers(0, 64, size=budget)
+        j = rng.integers(0, 63, size=budget)
+        j = np.where(j >= i, j + 1, j)
+        dots = np.einsum("ij,ij->i", protos.rows[i], protos.rows[j])
+        angles = np.degrees(np.arccos(np.clip(dots, -1.0, 1.0)))
+        counts, _ = np.histogram(angles, bins=90, range=(0.0, 180.0))
+        assert stats.subsampled
+        assert stats.n_pairs_used == budget
+        assert np.array_equal(stats.hist_counts, counts)
+        assert stats.min_deg == angles.min()
+        assert stats.mean_deg == pytest.approx(angles.mean(), rel=1e-12)
