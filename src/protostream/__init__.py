@@ -14,7 +14,6 @@ from .checkpoint import (
     load_matrix,
     read_matrix_csv,
     save_checkpoint,
-    save_state_csv,
     write_matrix_csv,
 )
 from .collapse import (

@@ -3,8 +3,8 @@
 Prototypes are projected to the plane with a two-component PCA (power
 iteration with deflation), the planar distribution is summarized by a
 Gaussian kernel density on a grid, and the angular distribution by a von
-Mises-Fisher kernel density over [-pi, pi].  Everything is exported as CSV;
-no plotting happens here.
+Mises-Fisher kernel density over [-pi, pi].  Everything is exported as CSV
+through ``checkpoint.write_csv``; no plotting happens here.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import i0 as bessel_i0
+from scipy.special import i0e as bessel_i0e
 
+from .checkpoint import write_csv
 from .collapse import PrototypeMatrix, normalize_rows
 
 logger = logging.getLogger(__name__)
@@ -161,6 +162,9 @@ def vmf_kde_angles(points2d: np.ndarray, kappa: float = 20.0,
 
     Each point contributes exp(kappa*cos(a - a_i)) / (2*pi*I0(kappa)); zero
     length points carry no angle and are skipped (count reported on the grid).
+    Both factors overflow above kappa ~709, so the kernel is evaluated as
+    exp(kappa*(cos(a - a_i) - 1)) / (2*pi*i0e(kappa)), with
+    i0e(kappa) = exp(-kappa)*I0(kappa).
     """
     if not (math.isfinite(kappa) and kappa > 0.0):
         raise ValueError(f"kappa must be finite and positive, got {kappa}")
@@ -175,35 +179,19 @@ def vmf_kde_angles(points2d: np.ndarray, kappa: float = 20.0,
         raise ValueError("no nonzero points to estimate angles from")
     angles = np.arctan2(pts[:, 1], pts[:, 0])
     grid = np.linspace(-np.pi, np.pi, n_samples)
-    norm = 2.0 * np.pi * float(bessel_i0(kappa))
+    norm = 2.0 * np.pi * float(bessel_i0e(kappa))
     density = np.empty(n_samples)
     for start in range(0, n_samples, _VMF_GRID_BLOCK):
         # each grid point is still one row reduction over all points
         terms = np.subtract.outer(grid[start:start + _VMF_GRID_BLOCK], angles)
         np.cos(terms, out=terms)
+        terms -= 1.0
         terms *= kappa
         np.exp(terms, out=terms)
         density[start:start + _VMF_GRID_BLOCK] = terms.sum(axis=1)
     density /= pts.shape[0] * norm
     return KdeGrid(x=grid, y=None, density=density, bandwidth=(0.0, 0.0),
                    kappa=kappa, skipped_points=skipped)
-
-
-def write_kde2d_csv(kde: KdeGrid, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# bandwidth_x={kde.bandwidth[0]:.17g} bandwidth_y={kde.bandwidth[1]:.17g}\n")
-        fh.write("x_grid,y_grid,prob\n")
-        for yi, y in enumerate(kde.y):
-            for xi, x in enumerate(kde.x):
-                fh.write(f"{x:.17g},{y:.17g},{kde.density[yi, xi]:.17g}\n")
-
-
-def write_vmf_csv(kde: KdeGrid, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# kappa={kde.kappa:.17g} skipped={kde.skipped_points}\n")
-        fh.write("x,prob\n")
-        for x, p in zip(kde.x, kde.density):
-            fh.write(f"{x:.17g},{p:.17g}\n")
 
 
 def export_prototype_kde(rows: np.ndarray, out_prefix: str | Path,
@@ -218,8 +206,13 @@ def export_prototype_kde(rows: np.ndarray, out_prefix: str | Path,
     prefix = str(out_prefix)
     gauss_path = Path(prefix + "_gaussian_kde.csv")
     vmf_path = Path(prefix + "_vmf_kde.csv")
-    write_kde2d_csv(planar, gauss_path)
-    write_vmf_csv(angular, vmf_path)
+    bw_x, bw_y = planar.bandwidth
+    write_csv(gauss_path, ("x_grid", "y_grid", "prob"),
+              ((x, y, planar.density[yi, xi]) for yi, y in enumerate(planar.y)
+               for xi, x in enumerate(planar.x)),
+              comment=f"bandwidth_x={bw_x:.17g} bandwidth_y={bw_y:.17g}")
+    write_csv(vmf_path, ("x", "prob"), zip(angular.x, angular.density),
+              comment=f"kappa={angular.kappa:.17g} skipped={angular.skipped_points}")
     return {
         "gaussian_csv": gauss_path,
         "vmf_csv": vmf_path,

@@ -1,4 +1,9 @@
-"""Binary and CSV serialization for mixture states and prototype matrices.
+"""Binary and CSV serialization, and the one way an artifact reaches disk.
+
+Every file the package writes (checkpoints, CSVs, run manifests) goes
+through ``atomic_open``, so a killed run leaves the previous file or the
+whole new one, never a truncated file that parses as complete.  ``write_csv``
+holds the CSV text format on top of it.
 
 Checkpoint layout (little-endian): magic ``PDGM``, u32 version, u32 K,
 u32 D, u64 step, then weights (K f64), means (K*D f64 row-major), variances
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +50,50 @@ class CheckpointError(ValueError):
         self.offset = offset
 
 
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w"):
+    """Open ``path`` for writing; the file appears under its name only whole.
+
+    Writes go to the sibling ``path.name + ".tmp"``, which ``os.replace``
+    moves onto ``path`` when the block exits normally and which is unlinked
+    when it raises.  There is no fsync: the aim is a killed process, not
+    power loss.  The suffix keeps partial files out of ``*.csv`` and
+    ``*.ckpt`` globs; two writers must not share a path, as they would share
+    the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _cell(value) -> str:
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def write_csv(path: str | Path, header, rows, comment: str | None = None) -> None:
+    """Write an optional ``# comment`` line, the header and the rows, atomically.
+
+    ``rows`` is any iterable of cell sequences and is consumed one row at a
+    time.  A float cell (``np.float64`` included) is written with
+    ``format(v, ".17g")``, any other cell with ``str(v)``.
+    """
+    with atomic_open(path) as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
 def save_checkpoint(state: MixtureState, path: str | Path) -> None:
     stats = state.suffstats
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, state.k, state.d, state.step))
         for arr in (state.weights, state.means, state.variances,
                     stats.s_pi, stats.s_mu, stats.s_sigma):
@@ -101,34 +148,10 @@ def load_checkpoint(path: str | Path) -> MixtureState:
     )
 
 
-def save_state_csv(state: MixtureState, directory: str | Path) -> list[Path]:
-    """Lossless text export, one CSV per array (debugging aid)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    arrays = {
-        "weights": state.weights[None, :],
-        "means": state.means,
-        "variances": state.variances,
-        "s_pi": state.suffstats.s_pi[None, :],
-        "s_mu": state.suffstats.s_mu,
-        "s_sigma": state.suffstats.s_sigma,
-    }
-    for name, arr in arrays.items():
-        path = directory / f"{name}.csv"
-        write_matrix_csv(arr, path)
-        written.append(path)
-    return written
-
-
 def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
     """Write a matrix as CSV with header ``d0,...,d{D-1}`` and 17-digit floats."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    header = ",".join(f"d{i}" for i in range(matrix.shape[1]))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in matrix:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_csv(path, [f"d{i}" for i in range(matrix.shape[1])], matrix)
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:

@@ -24,15 +24,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import DegenerateRankError, export_prototype_kde
-from .checkpoint import CheckpointError, load_matrix, save_checkpoint
-from .collapse import (
-    DEFAULT_EPSILON_GRID,
-    angular_stats,
-    epsilon_sweep,
-    normalize_rows,
-    write_angular_csv,
-    write_reports_csv,
-)
+from .checkpoint import atomic_open, load_matrix, save_checkpoint, write_csv
+from .collapse import DEFAULT_EPSILON_GRID, angular_stats, epsilon_sweep, normalize_rows
+from .datagen import shuffled_batches
 from .mixture import (
     DegenerateComponentError,
     GmmConfig,
@@ -54,7 +48,7 @@ def _write_manifest(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["version"] = __version__
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
 
@@ -66,9 +60,7 @@ def _run_with_manifest(manifest_path: Path, info: dict, body) -> int:
     outputs: list = []
     try:
         outputs = body() or []
-    except ConfigError as err:
-        status, error, code = "error", str(err), EXIT_USER
-    except (CheckpointError, ValueError) as err:
+    except ValueError as err:  # ConfigError and CheckpointError included
         status, error, code = "error", str(err), EXIT_USER
     except (DegenerateRankError, DegenerateComponentError) as err:
         status, error, code = "error", str(err), EXIT_DEGENERATE
@@ -159,7 +151,8 @@ def cmd_analyze(args) -> int:
         rows = load_matrix(args.protos)
         protos = normalize_rows(rows)
         reports = epsilon_sweep(protos, epsilons)
-        write_reports_csv(reports, out_csv)
+        write_csv(out_csv, ("epsilon", "unique_count", "unique_fraction"),
+                  ((r.epsilon, r.unique_count, r.unique_fraction) for r in reports))
         outputs = [out_csv]
         info["epsilons"] = epsilons
         info["prototype_count"] = protos.k
@@ -167,7 +160,9 @@ def cmd_analyze(args) -> int:
         if protos.k >= 2:
             stats = angular_stats(protos)
             angles_csv = out_csv.with_name(out_csv.stem + "_angles.csv")
-            write_angular_csv(stats, angles_csv)
+            edges = stats.hist_edges_deg
+            write_csv(angles_csv, ("angle_deg", "count"),
+                      zip(0.5 * (edges[:-1] + edges[1:]), stats.hist_counts))
             outputs.append(angles_csv)
             info["min_angle_deg"] = stats.min_deg
             info["mean_angle_deg"] = stats.mean_deg
@@ -225,17 +220,13 @@ def cmd_cluster_stream(args) -> int:
                              config=config, rng=rng)
         ll_rows = []
         for epoch in range(args.epochs):
-            order = np.random.default_rng([config.rng_seed, 2, epoch]).permutation(n)
-            for start in range(0, n, args.batch_size):
-                batch = features[order[start:start + args.batch_size]]
+            order_rng = np.random.default_rng([config.rng_seed, 2, epoch])
+            for batch in shuffled_batches(features, args.batch_size, order_rng):
                 ll_rows.append((state.step, log_likelihood(state, batch)))
                 state = gmm_update(state, batch, config)
         save_checkpoint(state, out_ckpt)
         ll_path = Path(str(out_ckpt) + ".loglik.csv")
-        with open(ll_path, "w") as fh:
-            fh.write("step,avg_loglik\n")
-            for step, ll in ll_rows:
-                fh.write(f"{step},{ll:.17g}\n")
+        write_csv(ll_path, ("step", "avg_loglik"), ll_rows)
         info["final_avg_loglik"] = ll_rows[-1][1] if ll_rows else None
         info["steps"] = state.step
         return [out_ckpt, ll_path]

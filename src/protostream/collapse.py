@@ -5,7 +5,9 @@ each prototype joins the first existing representative v with
 1 - v.c < epsilon, otherwise it opens a new partition.  The number of
 partitions M is the unique-prototype count.  Greedy first-fit is an
 upper-bound heuristic for the minimal covering, chosen for determinism and
-O(K*M*D) cost.
+O(K*M*D) cost.  M is not monotone in epsilon: a larger ball can let an
+early representative take a row that would have covered others, so four
+rows can give M=2 at one epsilon and M=3 at a larger one.
 
 At epsilon 0 every prototype counts as unique and no dot product is taken.
 For epsilon > 0 the rows are scanned in blocks of ``_ROW_BLOCK``: per
@@ -14,13 +16,15 @@ preallocated K x D buffer) and one Gram matrix of the block's unplaced
 rows.  The cost is a few BLAS calls per block and the temporaries are
 O(block * K).  ``angular_stats`` accumulates its histogram, minimum and sum
 over the same row blocks instead of holding all K(K-1)/2 angles at once.
+
+Nothing here writes files: the ``analyze`` command passes the reports and
+the histogram to ``checkpoint.write_csv``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -218,17 +222,3 @@ def _upper_triangle_dots(rows: np.ndarray):
         if stop < k:
             yield (block @ rows[stop:].T).ravel()
 
-
-def write_reports_csv(reports: list[CollapseReport], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        fh.write("epsilon,unique_count,unique_fraction\n")
-        for r in reports:
-            fh.write(f"{r.epsilon:.17g},{r.unique_count},{r.unique_fraction:.17g}\n")
-
-
-def write_angular_csv(stats: AngularStats, path: str | Path) -> None:
-    centers = 0.5 * (stats.hist_edges_deg[:-1] + stats.hist_edges_deg[1:])
-    with open(path, "w") as fh:
-        fh.write("angle_deg,count\n")
-        for c, n in zip(centers, stats.hist_counts):
-            fh.write(f"{c:.17g},{int(n)}\n")

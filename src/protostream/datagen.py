@@ -95,6 +95,16 @@ def make_dataset(spec: DataSpec, rng: np.random.Generator) -> Dataset:
     )
 
 
+def shuffled_batches(x: np.ndarray, batch_size: int, rng: np.random.Generator):
+    """Yield the rows of ``x`` in one random order, ``batch_size`` at a time.
+
+    The permutation is drawn before the first batch; the last may be short.
+    """
+    order = rng.permutation(x.shape[0])
+    for start in range(0, x.shape[0], batch_size):
+        yield x[order[start:start + batch_size]]
+
+
 def make_views(x: np.ndarray, n_views: int, noise: float, dropout: float,
                rng: np.random.Generator) -> np.ndarray:
     """Stochastic views: additive Gaussian noise plus coordinate dropout."""

@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import save_checkpoint
+from .checkpoint import save_checkpoint, write_csv
 from .collapse import count_unique, normalize_rows
-from .datagen import DataSpec, Dataset, make_dataset, make_views
+from .datagen import DataSpec, Dataset, make_dataset, make_views, shuffled_batches
 from .encoder import EncoderParams, backward, forward, init_encoder
 from .mixture import GmmConfig, MixtureState, gmm_update, init_mixture, spread_unit_vectors
 
@@ -28,11 +28,9 @@ logger = logging.getLogger(__name__)
 
 TELEMETRY_EPSILONS = (0.025, 0.05, 0.1, 0.25, 0.5)
 
-TELEMETRY_HEADER = (
-    "epoch,loss,"
-    + ",".join(f"uniq_eps_{e}" for e in TELEMETRY_EPSILONS)
-    + ",acc_all,acc_head,acc_med,acc_tail"
-)
+TELEMETRY_HEADER = ("epoch", "loss",
+                    *(f"uniq_eps_{e}" for e in TELEMETRY_EPSILONS),
+                    "acc_all", "acc_head", "acc_med", "acc_tail")
 
 
 class ConfigError(ValueError):
@@ -324,17 +322,6 @@ def _telemetry_row(state: SimState, dataset: Dataset, epoch: int,
     )
 
 
-def write_telemetry_csv(rows: list, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        fh.write(TELEMETRY_HEADER + "\n")
-        for r in rows:
-            cells = [str(r.epoch), format(r.loss, ".17g")]
-            cells += [str(r.unique_counts[e]) for e in TELEMETRY_EPSILONS]
-            cells += [format(v, ".17g") for v in
-                      (r.acc_all, r.acc_head, r.acc_medium, r.acc_tail)]
-            fh.write(",".join(cells) + "\n")
-
-
 def _snapshot_state(state: SimState, epoch: int) -> MixtureState:
     if state.mixture is not None:
         return state.mixture
@@ -372,13 +359,10 @@ def run_experiment(config: SimConfig,
             result.snapshot_paths.append(path)
 
     log_epoch(0, float("nan"))
-    n_train = dataset.x_train.shape[0]
     for epoch in range(1, config.epochs + 1):
         rng = np.random.default_rng([config.seed, 3, epoch])
-        order = rng.permutation(n_train)
         losses = []
-        for start in range(0, n_train, config.batch_size):
-            batch = dataset.x_train[order[start:start + config.batch_size]]
+        for batch in shuffled_batches(dataset.x_train, config.batch_size, rng):
             views = make_views(batch, config.views, config.view_noise,
                                config.view_dropout, rng)
             if config.regime == "decoupled":
@@ -391,7 +375,10 @@ def run_experiment(config: SimConfig,
         log_epoch(epoch, float(np.mean(losses)) if losses else float("nan"))
     result.state = state
     if result.telemetry_path is not None:
-        write_telemetry_csv(result.telemetry, result.telemetry_path)
+        write_csv(result.telemetry_path, TELEMETRY_HEADER,
+                  ((r.epoch, r.loss, *(r.unique_counts[e] for e in TELEMETRY_EPSILONS),
+                    r.acc_all, r.acc_head, r.acc_medium, r.acc_tail)
+                   for r in result.telemetry))
     return result
 
 

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.special import i0
+from scipy.special import i0, i0e
 
 from protostream import analysis
 from protostream.analysis import (
@@ -145,11 +145,13 @@ class TestVmfKdeAngles:
         kde = vmf_kde_angles(pts, kappa=1e-6)
         np.testing.assert_allclose(kde.density, 1.0 / (2.0 * np.pi), atol=1e-6)
 
-    @pytest.mark.parametrize("kappa", [0.1, 1.0, 20.0])
+    @pytest.mark.parametrize("kappa", [0.1, 1.0, 20.0, 800.0])
     def test_integrates_to_one(self, kappa):
         rng = np.random.default_rng(9)
         pts = rng.standard_normal((25, 2))
         kde = vmf_kde_angles(pts, kappa=kappa)
+        # exp(kappa*cos) and I0(kappa) each overflow above kappa ~709
+        assert np.isfinite(kde.density).all()
         integral = np.trapezoid(kde.density, kde.x)
         assert integral == pytest.approx(1.0, abs=1e-3)
 
@@ -181,9 +183,20 @@ class TestVmfKdeAngles:
             kde = vmf_kde_angles(pts, kappa=7.5, n_samples=1000)
         angles = np.arctan2(pts[:, 1], pts[:, 0])
         grid = np.linspace(-np.pi, np.pi, 1000)
-        want = np.exp(7.5 * np.cos(grid[:, None] - angles[None, :])).sum(axis=1)
-        want /= 300 * 2.0 * np.pi * float(i0(7.5))
+        want = np.exp(7.5 * (np.cos(grid[:, None] - angles[None, :]) - 1.0)).sum(axis=1)
+        want /= 300 * (2.0 * np.pi * float(i0e(7.5)))
         assert np.array_equal(kde.density, want)
+
+    @pytest.mark.parametrize("kappa", [0.5, 20.0, 100.0])
+    def test_matches_unscaled_kernel(self, kappa):
+        # exp(kappa*cos) / (2*pi*I0(kappa)), the textbook form, is finite here
+        rng = np.random.default_rng(12)
+        pts = rng.standard_normal((50, 2))
+        kde = vmf_kde_angles(pts, kappa=kappa, n_samples=256)
+        angles = np.arctan2(pts[:, 1], pts[:, 0])
+        want = np.exp(kappa * np.cos(kde.x[:, None] - angles[None, :])).mean(axis=1)
+        want /= 2.0 * np.pi * float(i0(kappa))
+        np.testing.assert_allclose(kde.density, want, rtol=1e-12, atol=0)
 
 
 class TestExportPipeline:

@@ -1,15 +1,19 @@
+import ast
 import struct
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import protostream
 from protostream.checkpoint import (
     CheckpointError,
     load_checkpoint,
     load_matrix,
     read_matrix_csv,
     save_checkpoint,
-    save_state_csv,
+    write_csv,
     write_matrix_csv,
 )
 from protostream.mixture import GmmConfig, gmm_update, init_mixture
@@ -140,15 +144,6 @@ class TestCsv:
             read_matrix_csv(path)
         assert err.value.offset > 0
 
-    def test_state_csv_export(self, tmp_path):
-        state = trained_state()
-        files = save_state_csv(state, tmp_path / "dump")
-        names = {f.name for f in files}
-        assert names == {"weights.csv", "means.csv", "variances.csv",
-                         "s_pi.csv", "s_mu.csv", "s_sigma.csv"}
-        means = read_matrix_csv(tmp_path / "dump" / "means.csv")
-        assert means.tobytes() == state.means.tobytes()
-
 
 class TestLoadMatrix:
     def test_sniffs_checkpoint(self, tmp_path):
@@ -165,3 +160,118 @@ class TestLoadMatrix:
         write_matrix_csv(mat, path)
         m = load_matrix(path)
         assert m.tobytes() == mat.tobytes()
+
+
+class TestAtomicWrite:
+    def _rows_then_fail(self):
+        yield (1, 2.5)
+        raise RuntimeError("killed mid-write")
+
+    def test_failed_csv_leaves_target_untouched(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, ("a", "b"), [(0, 0.5)])
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="killed"):
+            write_csv(path, ("a", "b"), self._rows_then_fail())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+    def test_failed_checkpoint_leaves_target_untouched(self, tmp_path):
+        path = tmp_path / "state.ckpt"
+        state = trained_state()
+        save_checkpoint(state, path)
+        before = path.read_bytes()
+        # the last array cannot be converted, so the header and five arrays
+        # are already written when the save fails
+        broken = SimpleNamespace(
+            k=state.k, d=state.d, step=state.step, weights=state.weights,
+            means=state.means, variances=state.variances,
+            suffstats=SimpleNamespace(s_pi=state.suffstats.s_pi,
+                                      s_mu=state.suffstats.s_mu,
+                                      s_sigma=["not a number"]))
+        with pytest.raises(ValueError):
+            save_checkpoint(broken, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
+
+    def test_comment_and_header_lines(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_csv(path, ("x", "prob"), [(1, 2)], comment="kappa=20")
+        assert path.read_text() == "# kappa=20\nx,prob\n1,2\n"
+
+    @pytest.mark.parametrize("value, text", [
+        pytest.param(3, "3", id="int"),
+        pytest.param(np.intp(-7), "-7", id="intp"),
+        pytest.param(0.1, "0.10000000000000001", id="float"),
+        pytest.param(np.float64(1.0) / 3.0, "0.33333333333333331", id="float64"),
+        pytest.param(float("nan"), "nan", id="nan"),
+        pytest.param(-0.0, "-0", id="negative-zero"),
+        pytest.param(np.float64(2.0), "2", id="integral-float64"),
+    ])
+    def test_cell_format(self, tmp_path, value, text):
+        path = tmp_path / "cell.csv"
+        write_csv(path, ("v",), [(value,)])
+        assert path.read_text().splitlines()[1] == text
+
+
+# calls that can create or change a file, other than through atomic_open
+_WRITE_METHODS = ("write_text", "write_bytes")
+
+
+def _open_mode(call: ast.Call):
+    """The mode node of an ``open(path, mode)`` or ``path.open(mode)`` call."""
+    for kw in call.keywords:
+        if kw.arg == "mode":
+            return kw.value
+    at = 1 if isinstance(call.func, ast.Name) else 0
+    return call.args[at] if len(call.args) > at else None
+
+
+def file_writes(source: str) -> list:
+    """Line numbers of calls in ``source`` that open a file for writing,
+    outside the body of a function named ``atomic_open``."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "atomic_open":
+            allowed.update(id(n) for n in ast.walk(node))
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in allowed:
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name in _WRITE_METHODS:
+            lines.append(node.lineno)
+        elif name == "open":
+            mode = _open_mode(node)
+            if mode is None:
+                continue  # read mode by default
+            if (not isinstance(mode, ast.Constant) or not isinstance(mode.value, str)
+                    or set(mode.value) & set("wax+")):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+class TestSingleWriter:
+    @pytest.mark.parametrize("source, lines", [
+        ('open(p, "w")', [1]),
+        ('open(p, mode="ab")', [1]),
+        ('open(p, "xb")', [1]),
+        ('open(p, "r+")', [1]),
+        ('open(p, m)', [1]),
+        ('Path(p).open("w")', [1]),
+        ('p.write_text("x")', [1]),
+        ('p.write_bytes(b"x")', [1]),
+        ('open(p)\nopen(p, "rb")\nPath(p).open()', []),
+        ('def atomic_open(p, mode):\n    open(p, mode)', []),
+    ])
+    def test_guard_detects_writes(self, source, lines):
+        assert file_writes(source) == lines
+
+    def test_package_writes_only_through_atomic_open(self):
+        package = Path(protostream.__file__).parent
+        found = {p.name: file_writes(p.read_text())
+                 for p in sorted(package.glob("*.py"))}
+        assert {name: lines for name, lines in found.items() if lines} == {}

@@ -171,7 +171,7 @@ class TestEpsilonSweep:
         reports = epsilon_sweep(protos, [0.0, 0.025])
         assert [r.unique_count for r in reports] == [2, 1]
 
-    def test_monotone_nonincreasing(self):
+    def test_counts_bounded(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             k = int(rng.integers(5, 80))
@@ -179,8 +179,16 @@ class TestEpsilonSweep:
             protos = unit_rows(rng, k, d)
             counts = [r.unique_count
                       for r in epsilon_sweep(protos, [0.0, 0.025, 0.05, 0.1, 0.25, 0.5])]
-            assert all(b <= a for a, b in zip(counts, counts[1:]))
+            assert all(1 <= c <= k for c in counts)
             assert counts[0] == k
+
+    def test_count_can_rise_with_epsilon(self):
+        # greedy first-fit is not monotone: at the larger epsilon row 0 also
+        # takes row 1, which at the smaller one took rows 2 and 3
+        xy = [(0.0, 0.0), (1.1, 0.0), (1.4, 0.65), (1.4, -0.65)]
+        protos = normalize_rows(np.array([(0.1 * x, 0.1 * y, 1.0) for x, y in xy]))
+        reports = epsilon_sweep(protos, [1.0 - np.cos(0.1), 1.0 - np.cos(0.12)])
+        assert [r.unique_count for r in reports] == [2, 3]
 
     def test_unsorted_rejected(self):
         protos = normalize_rows(np.eye(3))
