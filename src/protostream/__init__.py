@@ -42,7 +42,6 @@ from .mixture import (
     init_mixture,
     log_likelihood,
     m_step,
-    rescale_dominant_mean,
     split_resurrect,
     spread_unit_vectors,
 )

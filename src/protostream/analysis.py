@@ -1,10 +1,11 @@
 """Data exports for prototype-distribution visualization.
 
-Prototypes are projected to the plane with a two-component PCA (power
-iteration with deflation), the planar distribution is summarized by a
-Gaussian kernel density on a grid, and the angular distribution by a von
-Mises-Fisher kernel density over [-pi, pi].  Everything is exported as CSV
-through ``checkpoint.write_csv``; no plotting happens here.
+Prototypes are projected to the plane with a two-component PCA (the top two
+eigenpairs of the covariance, from ``numpy.linalg.eigh``), the planar
+distribution is summarized by a Gaussian kernel density on a grid, and the
+angular distribution by a von Mises-Fisher kernel density over [-pi, pi].
+Everything is exported as CSV through ``checkpoint.write_csv``; no plotting
+happens here.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .collapse import PrototypeMatrix, normalize_rows
 
 logger = logging.getLogger(__name__)
 
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 10_000
 # grid points per block in vmf_kde_angles: bounds its temporary to block * K
 _VMF_GRID_BLOCK = 64
 
@@ -50,22 +49,6 @@ class KdeGrid:
     skipped_points: int = 0
 
 
-def _power_iteration(matrix: np.ndarray, rng: np.random.Generator):
-    v = rng.standard_normal(matrix.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(_POWER_MAX_ITER):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0, v
-        w /= norm
-        if np.linalg.norm(w - v) < _POWER_TOL:
-            v = w
-            break
-        v = w
-    return float(v @ matrix @ v), v
-
-
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     i = int(np.argmax(np.abs(v)))
     return -v if v[i] < 0 else v
@@ -74,15 +57,16 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 def pca_project(protos: PrototypeMatrix | np.ndarray) -> Projection2D:
     """Top-2 principal projection of the prototype rows.
 
-    Directions come from iterated power method with deflation on the centered
-    covariance; each direction's largest-magnitude coordinate is made
-    positive so the output is sign-deterministic.
+    Directions are the top two eigenvectors of the centered covariance; each
+    direction's largest-magnitude coordinate is made positive so the output
+    is sign-deterministic.
     """
     rows = protos.rows if isinstance(protos, PrototypeMatrix) else np.asarray(protos)
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 3:
+    if rows.ndim != 2 or rows.shape[0] < 3 or rows.shape[1] < 2:
         raise DegenerateRankError(
-            f"need at least 3 prototypes for a planar projection, got {rows.shape}"
+            f"need at least 3 prototypes in 2 or more dimensions for a planar "
+            f"projection, got {rows.shape}"
         )
     mean = rows.mean(axis=0)
     centered = rows - mean
@@ -90,18 +74,13 @@ def pca_project(protos: PrototypeMatrix | np.ndarray) -> Projection2D:
     total = float(np.trace(cov))
     if total <= 0.0:
         raise DegenerateRankError("all prototypes identical")
-    rng = np.random.default_rng(0)  # fixed stream: output depends only on input
-    lam1, v1 = _power_iteration(cov, rng)
-    deflated = cov - lam1 * np.outer(v1, v1)
-    lam2, v2 = _power_iteration(deflated, rng)
-    v2 -= (v2 @ v1) * v1  # re-orthogonalize against numerical drift
-    norm2 = np.linalg.norm(v2)
-    if lam2 <= 1e-12 * max(lam1, 1.0) or norm2 == 0.0:
+    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
+    lam1, lam2 = float(eigvals[-1]), float(eigvals[-2])
+    if lam2 <= 1e-12 * max(lam1, 1.0):
         raise DegenerateRankError(
             f"second principal value {lam2:.3e} is negligible; rank < 2"
         )
-    v2 /= norm2
-    v1, v2 = _fix_sign(v1), _fix_sign(v2)
+    v1, v2 = _fix_sign(eigvecs[:, -1]), _fix_sign(eigvecs[:, -2])
     basis = np.stack([v1, v2], axis=1)
     return Projection2D(
         points=centered @ basis,

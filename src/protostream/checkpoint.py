@@ -20,11 +20,14 @@ parameters load unchanged, and nothing resumes from checkpoint statistics.
 
 ``load_checkpoint`` rejects non-finite values, weights off the simplex,
 non-positive variances, and negative counts or counts that mix zero with
-positive, naming the offending array's byte offset.
+positive, naming the offending array's byte offset.  ``read_matrix_csv``
+rejects a bad header, ragged rows and non-numeric or non-finite cells,
+naming the row and its byte offset.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 from contextlib import contextmanager
@@ -154,6 +157,16 @@ def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
     write_csv(path, [f"d{i}" for i in range(matrix.shape[1])], matrix)
 
 
+def _data_lines(lines: list):
+    """Yield (line number, byte offset, stripped line) of each non-blank row."""
+    offset = len(lines[0]) + 1
+    for lineno, line in enumerate(lines[1:], start=2):
+        stripped = line.strip()
+        if stripped:
+            yield lineno, offset, stripped
+        offset += len(line) + 1
+
+
 def read_matrix_csv(path: str | Path) -> np.ndarray:
     text = Path(path).read_bytes()
     lines = text.split(b"\n")
@@ -164,24 +177,26 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     if cols != [f"d{i}" for i in range(len(cols))]:
         raise CheckpointError(f"bad header {header!r}", 0)
     rows = []
-    offset = len(lines[0]) + 1
-    for lineno, line in enumerate(lines[1:], start=2):
-        stripped = line.strip()
-        if stripped:
-            parts = stripped.split(b",")
-            if len(parts) != len(cols):
-                raise CheckpointError(
-                    f"row {lineno} has {len(parts)} values, expected {len(cols)}",
-                    offset,
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                raise CheckpointError(f"row {lineno} is not numeric", offset) from None
-        offset += len(line) + 1
+    for lineno, offset, stripped in _data_lines(lines):
+        parts = stripped.split(b",")
+        if len(parts) != len(cols):
+            raise CheckpointError(
+                f"row {lineno} has {len(parts)} values, expected {len(cols)}",
+                offset,
+            )
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise CheckpointError(f"row {lineno} is not numeric", offset) from None
     if not rows:
-        raise CheckpointError("matrix file has no data rows", offset)
-    return np.array(rows, dtype=np.float64)
+        raise CheckpointError("matrix file has no data rows", len(text))
+    matrix = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        lineno, offset, _ = next(itertools.islice(_data_lines(lines), bad, None))
+        raise CheckpointError(f"row {lineno} has a non-finite value", offset)
+    return matrix
 
 
 def load_matrix(path: str | Path) -> np.ndarray:

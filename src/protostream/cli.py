@@ -41,7 +41,7 @@ EXIT_USER = 2
 EXIT_IO = 3
 EXIT_DEGENERATE = 4
 
-ABLATION_TOGGLES = ("forgetting", "annealing", "resurrect", "rescaling")
+ABLATION_TOGGLES = ("forgetting", "annealing", "resurrect")
 
 
 def _write_manifest(path: Path, payload: dict) -> None:
@@ -198,6 +198,9 @@ def cmd_cluster_stream(args) -> int:
             "batch_size": args.batch_size, "epochs": args.epochs}
 
     def body():
+        if args.batch_size < 1:
+            raise ConfigError("--batch-size",
+                              f"must be at least 1, got {args.batch_size}")
         features = load_matrix(args.features)
         n, dim = features.shape
         batches_per_epoch = max(1, -(-n // args.batch_size))
@@ -209,7 +212,6 @@ def cmd_cluster_stream(args) -> int:
             annealing=not args.no_annealing,
             responsibility_forgetting=not args.no_forgetting,
             resurrect=not args.no_resurrect,
-            rescaling=not args.no_rescaling,
             resurrect_threshold=args.resurrect_threshold,
             rng_seed=args.seed or 0,
             init_variance=(1.0 if args.init_variance is None
@@ -252,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="key=value config file")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--grid", action="store_true",
-                       help="run all 16 mixture-toggle combinations, one "
+                       help="run all 8 mixture-toggle combinations, one "
                             "sub-directory each")
     p_sim.add_argument("--workers", type=int, default=1,
                        help="parallel workers for --grid")
@@ -295,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cs.add_argument("--no-annealing", action="store_true")
     p_cs.add_argument("--no-forgetting", action="store_true")
     p_cs.add_argument("--no-resurrect", action="store_true")
-    p_cs.add_argument("--no-rescaling", action="store_true")
     p_cs.set_defaults(func=cmd_cluster_stream)
     return parser
 

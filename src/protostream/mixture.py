@@ -9,12 +9,14 @@ state carries statistics from the moment it is built: one made from
 parameters alone is seeded with per-sample pseudo-counts whose M-step gives
 those parameters back, so the first update is an ordinary update.
 
-Two regularizers keep long runs healthy: ``split_resurrect`` halves the mass
-of an over-weighted component into a reinitialized lightest one, and
-``rescale_dominant_mean`` shrinks the norm of dominant means.  Within
-``gmm_update`` both edit the sufficient statistics and the parameters are
+One regularizer guards long runs: ``split_resurrect`` halves the mass of an
+over-weighted component into a reinitialized lightest one.  Within
+``gmm_update`` it edits the sufficient statistics and the parameters are
 re-derived from them, so after every update the published weights, means and
-variances equal ``m_step`` of the statistics and an edit outlasts the update.
+variances equal ``m_step`` of the statistics and a split outlasts the update.
+No other regularizer is needed to keep the decoupled mixture diverse: its
+responsibility-weighted forgetting, the step-size schedule of stepwise EM,
+keeps the components apart.
 
 All operations are pure: they return new state and never mutate their inputs.
 Arrays are float64 throughout.
@@ -78,7 +80,6 @@ class GmmConfig:
     responsibility_forgetting: bool = True
     annealing: bool = True
     resurrect: bool = True
-    rescaling: bool = True
     rng_seed: int = 0
     # unit variances blur all structure when the data lives on a much smaller
     # scale (e.g. 1/D per coordinate for unit-norm vectors), which starves all
@@ -404,23 +405,10 @@ def split_resurrect(state: MixtureState, threshold: float,
     return _from_stats(stats, variance_floor, state.step), events
 
 
-def rescale_dominant_mean(mean: np.ndarray, weight: float,
-                          threshold: float) -> np.ndarray:
-    """Shrink a dominant mean to norm sqrt(norm); identity below the threshold."""
-    mean = np.asarray(mean, dtype=np.float64)
-    if weight <= threshold:
-        return mean
-    norm = float(np.linalg.norm(mean))
-    if norm == 0.0:
-        logger.warning("rescale_dominant_mean: zero-norm mean left unchanged")
-        return mean
-    return mean / np.sqrt(norm)
-
-
 def gmm_update(state: MixtureState, batch: np.ndarray, config: GmmConfig,
                beta: float | None = None, eta: float | None = None
                ) -> MixtureState:
-    """One full streaming update: E-step, statistics blend, M-step, regularizers.
+    """One full streaming update: E-step, statistics blend, M-step, split.
 
     ``beta`` and ``eta`` default to the config schedules evaluated at the
     current step.  The split-resurrect draw is seeded from (config seed,
@@ -456,18 +444,4 @@ def gmm_update(state: MixtureState, batch: np.ndarray, config: GmmConfig,
                     "split step %d: component %d (weight %.4f) -> resurrect %d",
                     new_state.step, ev.dominant, ev.old_weight, ev.resurrected,
                 )
-    if config.rescaling:
-        hot = np.flatnonzero(new_state.weights > config.resurrect_threshold)
-        if hot.size:
-            # move the first moment with the mean and shift the second by the
-            # same amount, so each component keeps its variance
-            stats = new_state.suffstats.copy()
-            for k in hot:
-                old = new_state.means[k]
-                new = rescale_dominant_mean(
-                    old, float(new_state.weights[k]), config.resurrect_threshold
-                )
-                stats.s_mu[k] = new * stats.s_pi[k]
-                stats.s_sigma[k] += stats.s_pi[k] * (new * new - old * old)
-            new_state = _from_stats(stats, config.variance_floor, new_state.step)
     return new_state

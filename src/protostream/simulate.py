@@ -71,6 +71,9 @@ class SimConfig:
             raise ConfigError("sim.ema", "EMA momentum must lie in [0, 1)")
         if self.views < 2:
             raise ConfigError("sim.views", "need at least two views")
+        if self.batch_size < 1:
+            raise ConfigError("sim.batch",
+                              f"batch size must be at least 1, got {self.batch_size}")
         if self.proto_init not in ("spread", "random", "data"):
             raise ConfigError("sim.proto_init", f"unknown mode {self.proto_init!r}")
 
@@ -427,7 +430,6 @@ _GMM_KEYS = {
     "gmm.forgetting": ("responsibility_forgetting", bool),
     "gmm.annealing": ("annealing", bool),
     "gmm.resurrect": ("resurrect", bool),
-    "gmm.rescaling": ("rescaling", bool),
 }
 
 KNOWN_KEYS = sorted(set(_SIM_KEYS) | set(_DATA_KEYS) | set(_GMM_KEYS))

@@ -74,9 +74,9 @@ class TestPcaProject:
 
     def test_rank_one_rejected(self):
         t = np.linspace(-1, 1, 20)
-        rows = np.outer(t, np.array([1.0, 1.0, 0.0]))
-        with pytest.raises(DegenerateRankError):
-            pca_project(rows)
+        for rows in (np.outer(t, np.array([1.0, 1.0, 0.0])), t[:, None]):
+            with pytest.raises(DegenerateRankError):
+                pca_project(rows)
 
 
 class TestGaussianKde2d:

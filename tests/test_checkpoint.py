@@ -144,6 +144,16 @@ class TestCsv:
             read_matrix_csv(path)
         assert err.value.offset > 0
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_row_and_offset(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        # a blank line before the bad row: the row number counts file lines
+        path.write_text(f"d0,d1\n1,2\n\n3,{cell}\n4,5\n")
+        with pytest.raises(CheckpointError) as err:
+            read_matrix_csv(path)
+        assert "row 4 " in str(err.value)
+        assert err.value.offset == len("d0,d1\n1,2\n\n")
+
 
 class TestLoadMatrix:
     def test_sniffs_checkpoint(self, tmp_path):

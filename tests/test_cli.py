@@ -69,9 +69,21 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--out", str(out), "--grid"])
         assert code == 0
         subdirs = [p for p in out.iterdir() if p.is_dir()]
-        assert len(subdirs) == 16
+        assert len(subdirs) == 8
         for sub in subdirs:
             assert (sub / "telemetry.csv").exists()
+
+    @pytest.mark.parametrize("batch", ["0", "-1"])
+    def test_nonpositive_batch_exit_2(self, tmp_path, capsys, batch):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace("sim.batch=32",
+                                                         f"sim.batch={batch}"))
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "sim.batch" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert not (out / "telemetry.csv").exists()
 
 
 class TestAnalyze:
@@ -94,6 +106,18 @@ class TestAnalyze:
                      "--epsilons", "0.5,nan,0.1"])
         assert code == 2
         assert not out.exists()
+
+    def test_non_finite_row_exit_2(self, tmp_path, capsys):
+        protos = tmp_path / "protos.csv"
+        protos.write_text("d0,d1,d2\n1,0,0\n0,1,0\n0,nan,1\n")
+        out = tmp_path / "sweep.csv"
+        code = main(["analyze", "--protos", str(protos), "--out", str(out)])
+        assert code == 2
+        assert "row 4 has a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert "mean_angle_deg" not in manifest
 
     def test_corrupt_magic_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
@@ -165,7 +189,7 @@ class TestClusterStream:
         code = main(["cluster-stream", "--features", str(features),
                      "--out", str(out), "-k", "8", "--epochs", "30",
                      "--seed", "1", "--no-forgetting", "--no-annealing",
-                     "--no-resurrect", "--no-rescaling"])
+                     "--no-resurrect"])
         assert code == 0
         state = load_checkpoint(out)
         cost = np.linalg.norm(state.means[:, None, :] - centers[None, :, :], axis=2)
@@ -184,6 +208,25 @@ class TestClusterStream:
         code = main(["cluster-stream", "--features", str(empty),
                      "--out", str(tmp_path / "m.ckpt")])
         assert code == 2
+
+    @pytest.mark.parametrize("batch", ["0", "-4"])
+    def test_nonpositive_batch_size_exit_2(self, tmp_path, capsys, batch):
+        features, _ = cluster_file(tmp_path)
+        out = tmp_path / "m.ckpt"
+        code = main(["cluster-stream", "--features", str(features),
+                     "--out", str(out), "--batch-size", batch])
+        assert code == 2
+        assert "--batch-size" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert not out.exists()
+
+    def test_no_rescaling_flag_rejected(self, tmp_path):
+        features, _ = cluster_file(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(["cluster-stream", "--features", str(features),
+                  "--out", str(tmp_path / "m.ckpt"), "--no-rescaling"])
+        assert err.value.code == 2
 
     def test_same_seed_bitwise_identical(self, tmp_path):
         features, _ = cluster_file(tmp_path)

@@ -262,7 +262,7 @@ class TestPrototypeStepDecoupled:
         epochs, batch = 25, 128
         config = GmmConfig(total_steps=epochs * (n // batch + 1), rng_seed=0,
                            annealing=False, responsibility_forgetting=False,
-                           resurrect=False, rescaling=False)
+                           resurrect=False)
         state = init_mixture(n_classes, latent_dim, init_points=center_latents,
                              config=config, rng=np.random.default_rng(6))
         w0, m0, v0 = state.weights.copy(), state.means.copy(), state.variances.copy()
@@ -349,9 +349,11 @@ class TestConfigText:
         assert mapping["data.exponent"] == "1.5"
 
     def test_unknown_key_named(self):
-        with pytest.raises(ConfigError) as err:
-            sim_config_from_text("sim.regym=decoupled\n")
-        assert err.value.key == "sim.regym"
+        # older configs may still carry gmm.rescaling: rejected, not ignored
+        for key in ("sim.regym", "gmm.rescaling"):
+            with pytest.raises(ConfigError) as err:
+                sim_config_from_text(f"{key}=1\n")
+            assert err.value.key == key
 
     def test_bad_value_named(self):
         with pytest.raises(ConfigError) as err:
