@@ -5,24 +5,22 @@ through ``atomic_open``, so a killed run leaves the previous file or the
 whole new one, never a truncated file that parses as complete.  ``write_csv``
 holds the CSV text format on top of it.
 
-Checkpoint layout (little-endian): magic ``PDGM``, u32 version, u32 K,
-u32 D, u64 step, then weights (K f64), means (K*D f64 row-major), variances
-(K*D f64), and the sufficient statistics in the same order (counts K f64,
-first moments K*D f64, second moments K*D f64).  Statistics are per-sample
-averages and are always present; a fresh state stores its seeded
-pseudo-counts.
+Checkpoint layout (little-endian, version 2): magic ``PDGM``, u32 version,
+u32 K, u32 D, u64 step, then the sufficient statistics: counts (K f64),
+first moments (K*D f64 row-major) and second moments (K*D f64), all
+per-sample averages.  The statistics are the whole state of stepwise EM, so
+the file stores no parameters: ``load_checkpoint`` returns ``m_step`` of the
+statistics under the fixed ``GmmConfig.variance_floor``, and a loaded
+state's weights, means and variances agree with its statistics by
+construction.  A state built from parameters alone stores its seeded
+pseudo-counts.  Files of any other version, including version 1 (which also
+stored the parameters), are refused.
 
-Files written by older code keep the same layout and version.  Those saved
-before a first update hold all-zero statistics and load as a fresh state, so
-their statistics are seeded from the parameters.  Those saved later hold
-batch-scale statistics (sums over a batch rather than averages); their
-parameters load unchanged, and nothing resumes from checkpoint statistics.
-
-``load_checkpoint`` rejects non-finite values, weights off the simplex,
-non-positive variances, and negative counts or counts that mix zero with
-positive, naming the offending array's byte offset.  ``read_matrix_csv``
-rejects a bad header, ragged rows and non-numeric or non-finite cells,
-naming the row and its byte offset.
+``load_checkpoint`` rejects a zero K or D, non-finite values, non-positive
+counts or counts whose sum overflows, negative second moments, and statistics whose means or variances
+are not finite, naming the offending field's byte offset.
+``read_matrix_csv`` rejects a bad header, ragged rows and non-numeric or
+non-finite cells, naming the row and its byte offset.
 """
 
 from __future__ import annotations
@@ -35,14 +33,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .mixture import MixtureState, SufficientStats
+from .mixture import GmmConfig, MixtureState, SufficientStats, m_step
 
 MAGIC = b"PDGM"
-VERSION = 1
+VERSION = 2
 
 _HEADER = struct.Struct("<4sIIIQ")
-_ARRAYS = ("weights", "means", "variances", "counts", "first moments",
-           "second moments")
+_ARRAYS = ("counts", "first moments", "second moments")
 
 
 class CheckpointError(ValueError):
@@ -98,8 +95,7 @@ def save_checkpoint(state: MixtureState, path: str | Path) -> None:
     stats = state.suffstats
     with atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, state.k, state.d, state.step))
-        for arr in (state.weights, state.means, state.variances,
-                    stats.s_pi, stats.s_mu, stats.s_sigma):
+        for arr in (stats.s_pi, stats.s_mu, stats.s_sigma):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
@@ -114,8 +110,11 @@ def load_checkpoint(path: str | Path) -> MixtureState:
             raise CheckpointError(f"bad magic {magic!r}", 0)
         if version != VERSION:
             raise CheckpointError(f"unsupported version {version}", 4)
+        for name, value, at in (("K", k, 8), ("D", d, 12)):
+            if value == 0:
+                raise CheckpointError(f"{name}=0 in header", at)
         offset = _HEADER.size
-        sizes = [k, k * d, k * d, k, k * d, k * d]
+        sizes = [k, k * d, k * d]
         expected = offset + 8 * sum(sizes)
         if file_size != expected:
             raise CheckpointError(
@@ -123,7 +122,7 @@ def load_checkpoint(path: str | Path) -> MixtureState:
                 min(file_size, expected),
             )
         # each array is read straight into its own buffer: no file-sized copy
-        # of the payload, and the means load_matrix keeps hold nothing else
+        # of the payload
         arrays, starts = [], []
         for name, size in zip(_ARRAYS, sizes):
             arr = np.empty(size, dtype="<f8")
@@ -135,20 +134,22 @@ def load_checkpoint(path: str | Path) -> MixtureState:
             arrays.append(arr)
             starts.append(offset)
             offset += 8 * size
-    weights, means, variances, s_pi, s_mu, s_sigma = arrays
-    if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-9:
-        raise CheckpointError("weights are off the simplex", starts[0])
-    if np.any(variances <= 0.0):
-        raise CheckpointError("non-positive variances", starts[2])
-    if np.any(s_pi < 0.0) or (s_pi.any() and not s_pi.all()):
-        raise CheckpointError("counts are negative or mix zero with positive",
-                              starts[3])
-    # all-zero counts: a fresh state from older code, seeded on construction
-    suffstats = (SufficientStats(s_pi, s_mu.reshape(k, d), s_sigma.reshape(k, d))
-                 if s_pi.any() else None)
-    return MixtureState(
-        weights, means.reshape(k, d), variances.reshape(k, d), suffstats, int(step)
-    )
+    s_pi, s_mu, s_sigma = arrays
+    if np.any(s_pi <= 0.0):
+        raise CheckpointError("non-positive counts", starts[0])
+    if np.any(s_sigma < 0.0):
+        raise CheckpointError("negative second moments", starts[2])
+    stats = SufficientStats(s_pi, s_mu.reshape(k, d), s_sigma.reshape(k, d))
+    # huge counts can overflow their sum and tiny ones a mean: both reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(s_pi.sum()):  # else every weight would be zero
+            raise CheckpointError("counts overflow their sum", starts[0])
+        weights, means, variances = m_step(stats, GmmConfig.variance_floor)
+    for name, arr, at in (("means", means, starts[1]),
+                          ("variances", variances, starts[2])):
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"statistics give non-finite {name}", at)
+    return MixtureState(weights, means, variances, stats, int(step))
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:

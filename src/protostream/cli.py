@@ -214,8 +214,7 @@ def cmd_cluster_stream(args) -> int:
             resurrect=not args.no_resurrect,
             resurrect_threshold=args.resurrect_threshold,
             rng_seed=args.seed or 0,
-            init_variance=(1.0 if args.init_variance is None
-                           else args.init_variance),
+            init_variance=args.init_variance,
         )
         rng = np.random.default_rng([config.rng_seed, 1])
         state = init_mixture(args.components, dim, init_points=features,
@@ -288,12 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cs.add_argument("--components", "-k", type=int, default=8)
     p_cs.add_argument("--batch-size", type=int, default=64)
     p_cs.add_argument("--epochs", type=int, default=20)
-    p_cs.add_argument("--eta-start", type=float, default=0.1)
-    p_cs.add_argument("--eta-end", type=float, default=0.5)
-    p_cs.add_argument("--beta", type=float, default=1.0)
-    p_cs.add_argument("--resurrect-threshold", type=float, default=0.3)
-    p_cs.add_argument("--init-variance", type=float, default=None,
-                      help="override the unit initial variances")
+    p_cs.add_argument("--eta-start", type=float, default=GmmConfig.eta_start)
+    p_cs.add_argument("--eta-end", type=float, default=GmmConfig.eta_end)
+    p_cs.add_argument("--beta", type=float, default=GmmConfig.beta)
+    p_cs.add_argument("--resurrect-threshold", type=float,
+                      default=GmmConfig.resurrect_threshold)
+    p_cs.add_argument("--init-variance", type=float,
+                      default=GmmConfig.init_variance,
+                      help="initial variance of every component")
     p_cs.add_argument("--no-annealing", action="store_true")
     p_cs.add_argument("--no-forgetting", action="store_true")
     p_cs.add_argument("--no-resurrect", action="store_true")

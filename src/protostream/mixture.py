@@ -14,6 +14,8 @@ over-weighted component into a reinitialized lightest one.  Within
 ``gmm_update`` it edits the sufficient statistics and the parameters are
 re-derived from them, so after every update the published weights, means and
 variances equal ``m_step`` of the statistics and a split outlasts the update.
+A checkpoint stores only the statistics, so the same holds for a loaded
+state.
 No other regularizer is needed to keep the decoupled mixture diverse: its
 responsibility-weighted forgetting, the step-size schedule of stepwise EM,
 keeps the components apart.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,7 +45,8 @@ class DegenerateComponentError(RuntimeError):
 
 
 class StateError(RuntimeError):
-    """Raised when an operation is applied to a state in the wrong phase."""
+    """Raised when a diagnostic is given a ``PrototypeMatrix`` whose rows are
+    not normalized."""
 
 
 @dataclass(frozen=True)
@@ -68,14 +72,17 @@ class GmmConfig:
     off; with ``annealing`` on, beta ramps linearly ``anneal_start -> 1.0``
     over ``total_steps``.  The forgetting factor ramps ``eta_start ->
     eta_end`` over the same horizon and is evaluated once per update.
+    ``variance_floor`` is a constant, not a field: a checkpoint's parameters
+    are derived under it on load.
     """
+
+    variance_floor: ClassVar[float] = 1e-6
 
     total_steps: int = 1000
     beta: float = 1.0
     anneal_start: float = 0.5
     eta_start: float = 0.1
     eta_end: float = 0.5
-    variance_floor: float = 1e-6
     resurrect_threshold: float = 0.3
     responsibility_forgetting: bool = True
     annealing: bool = True
@@ -97,8 +104,6 @@ class GmmConfig:
             raise ValueError(
                 f"resurrect_threshold must lie in (0, 1], got {self.resurrect_threshold}"
             )
-        if self.variance_floor <= 0.0:
-            raise ValueError("variance_floor must be positive")
         if self.init_variance <= 0.0:
             raise ValueError("init_variance must be positive")
 
@@ -344,17 +349,15 @@ def m_step(suffstats: SufficientStats, variance_floor: float
     return weights, means, variances
 
 
-def _from_stats(stats: SufficientStats, variance_floor: float,
-                step: int) -> MixtureState:
+def _from_stats(stats: SufficientStats, step: int) -> MixtureState:
     """State whose published parameters are ``m_step`` of ``stats``."""
-    weights, means, variances = m_step(stats, variance_floor)
+    weights, means, variances = m_step(stats, GmmConfig.variance_floor)
     return MixtureState(weights, means, variances, stats, step)
 
 
 def split_resurrect(state: MixtureState, threshold: float,
                     rng: np.random.Generator,
-                    init_variance: float = GmmConfig.init_variance,
-                    variance_floor: float = GmmConfig.variance_floor
+                    init_variance: float = GmmConfig.init_variance
                     ) -> tuple[MixtureState, list[SplitEvent]]:
     """Halve each over-threshold component's mass into a reborn lightest one.
 
@@ -402,7 +405,7 @@ def split_resurrect(state: MixtureState, threshold: float,
         stats.s_sigma[j] = (init_variance + means[j] * means[j]) * half
         events.append(SplitEvent(kind="split", dominant=k, resurrected=j,
                                  old_weight=old_weight))
-    return _from_stats(stats, variance_floor, state.step), events
+    return _from_stats(stats, state.step), events
 
 
 def gmm_update(state: MixtureState, batch: np.ndarray, config: GmmConfig,
@@ -431,12 +434,11 @@ def gmm_update(state: MixtureState, batch: np.ndarray, config: GmmConfig,
     fresh = SufficientStats(fresh.s_pi / n, fresh.s_mu / n, fresh.s_sigma / n)
     stats = forget_and_merge(state, fresh, resp, eta,
                              config.responsibility_forgetting)
-    new_state = _from_stats(stats, config.variance_floor, state.step + 1)
+    new_state = _from_stats(stats, state.step + 1)
     if config.resurrect:
         rng = np.random.default_rng([config.rng_seed, _SPLIT_STREAM, state.step])
         new_state, events = split_resurrect(
-            new_state, config.resurrect_threshold, rng,
-            config.init_variance, config.variance_floor,
+            new_state, config.resurrect_threshold, rng, config.init_variance,
         )
         for ev in events:
             if ev.kind == "split":

@@ -57,7 +57,6 @@ class SimConfig:
     batch_size: int = 128
     view_noise: float = 0.1
     view_dropout: float = 0.1
-    proto_init: str = "spread"  # "spread", "random", or "data"
     seed: int = 0
     data: DataSpec = field(default_factory=DataSpec)
     gmm: GmmConfig = field(default_factory=lambda: GmmConfig(total_steps=0))
@@ -74,8 +73,19 @@ class SimConfig:
         if self.batch_size < 1:
             raise ConfigError("sim.batch",
                               f"batch size must be at least 1, got {self.batch_size}")
-        if self.proto_init not in ("spread", "random", "data"):
-            raise ConfigError("sim.proto_init", f"unknown mode {self.proto_init!r}")
+        # the negated comparisons reject NaN as well
+        if not self.grad_clip > 0.0:
+            raise ConfigError("sim.grad_clip",
+                              f"must be positive, got {self.grad_clip}")
+        if not self.learning_rate >= 0.0:
+            raise ConfigError("sim.lr",
+                              f"must not be negative, got {self.learning_rate}")
+        if self.epochs < 0:
+            raise ConfigError("sim.epochs",
+                              f"must not be negative, got {self.epochs}")
+        if not 0.0 <= self.view_dropout < 1.0:
+            raise ConfigError("sim.view_dropout",
+                              f"must lie in [0, 1), got {self.view_dropout}")
 
 
 @dataclass
@@ -247,20 +257,6 @@ def prototype_step_decoupled(state: SimState,
     return replace(state, mixture=mixture, prototypes=mixture.means)
 
 
-def _initial_prototypes(cfg: SimConfig, dataset: Dataset,
-                        teacher: EncoderParams,
-                        rng: np.random.Generator) -> np.ndarray:
-    k, d = cfg.n_prototypes, cfg.latent_dim
-    if cfg.proto_init == "spread":
-        return spread_unit_vectors(k, d, rng)
-    if cfg.proto_init == "random":
-        return rng.standard_normal((k, d)) / np.sqrt(d)
-    if dataset.x_train.shape[0] < k:
-        raise ConfigError("sim.proto_init", "not enough samples for data init")
-    h, _ = forward(teacher, dataset.x_train[:k])
-    return h.copy()
-
-
 def init_sim(cfg: SimConfig) -> tuple[SimState, Dataset]:
     """Deterministic setup: data, encoders, prototypes, and (maybe) mixture."""
     data_rng = np.random.default_rng([cfg.seed, 0])
@@ -270,7 +266,7 @@ def init_sim(cfg: SimConfig) -> tuple[SimState, Dataset]:
     student = init_encoder(cfg.data.input_dim, cfg.hidden, cfg.latent_dim,
                            enc_rng, role="student")
     teacher = student.copy(role="teacher")
-    protos = _initial_prototypes(cfg, dataset, teacher, proto_rng)
+    protos = spread_unit_vectors(cfg.n_prototypes, cfg.latent_dim, proto_rng)
     mixture = None
     if cfg.regime == "decoupled":
         steps_per_epoch = max(1, math.ceil(dataset.x_train.shape[0] / cfg.batch_size))
@@ -402,7 +398,6 @@ _SIM_KEYS = {
     "sim.batch": ("batch_size", int),
     "sim.view_noise": ("view_noise", float),
     "sim.view_dropout": ("view_dropout", float),
-    "sim.proto_init": ("proto_init", str),
     "sim.seed": ("seed", int),
 }
 
@@ -423,7 +418,6 @@ _GMM_KEYS = {
     "gmm.anneal_start": ("anneal_start", float),
     "gmm.eta.start": ("eta_start", float),
     "gmm.eta.end": ("eta_end", float),
-    "gmm.variance_floor": ("variance_floor", float),
     "gmm.resurrect_threshold": ("resurrect_threshold", float),
     "gmm.total_steps": ("total_steps", int),
     "gmm.init_variance": ("init_variance", float),

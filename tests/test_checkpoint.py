@@ -16,7 +16,7 @@ from protostream.checkpoint import (
     write_csv,
     write_matrix_csv,
 )
-from protostream.mixture import GmmConfig, gmm_update, init_mixture
+from protostream.mixture import GmmConfig, gmm_update, init_mixture, m_step
 
 import oracles
 
@@ -35,6 +35,7 @@ class TestBinaryRoundTrip:
         state = trained_state()
         path = tmp_path / "state.ckpt"
         save_checkpoint(state, path)
+        assert path.stat().st_size == 24 + 8 * state.k * (1 + 2 * state.d)
         loaded = load_checkpoint(path)
         assert loaded.step == state.step
         assert loaded.weights.tobytes() == state.weights.tobytes()
@@ -58,24 +59,21 @@ class TestBinaryRoundTrip:
         np.testing.assert_allclose(loaded.suffstats.s_mu, s_mu, atol=1e-15)
         np.testing.assert_allclose(loaded.suffstats.s_sigma, s_sigma, atol=1e-15)
 
-    def test_zero_statistics_load_seeded(self, tmp_path):
-        # older code saved a state before its first update with zero statistics
-        state = init_mixture(3, 2, rng=np.random.default_rng(1))
-        path = tmp_path / "old.ckpt"
-        save_checkpoint(state, path)
-        data = path.read_bytes()
-        stats_at = 24 + 8 * (3 + 6 + 6)  # header, weights, means, variances
-        path.write_bytes(data[:stats_at] + bytes(len(data) - stats_at))
-        loaded = load_checkpoint(path)
-        for name in ("s_pi", "s_mu", "s_sigma"):
-            assert (getattr(loaded.suffstats, name).tobytes()
-                    == getattr(state.suffstats, name).tobytes())
-
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_version_1_refused(self, tmp_path):
+        path = tmp_path / "v1.ckpt"
+        save_checkpoint(trained_state(), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 4, 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="unsupported version 1") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 4
 
     def test_truncated_payload(self, tmp_path):
         state = trained_state()
@@ -87,39 +85,78 @@ class TestBinaryRoundTrip:
             load_checkpoint(path)
 
 
-# K=4, D=3: a 24-byte header, then weights (4), means (12), variances (12),
-# counts (4), first and second moments (12 each), 8 bytes per value
-ARRAY_OFFSETS = {"weights": 24, "means": 56, "variances": 152, "counts": 248,
-                 "first": 280, "second": 376}
+# K=4, D=3: a 24-byte header, then counts (4) and first and second moments
+# (12 each), 8 bytes per value
+ARRAY_OFFSETS = {"counts": 24, "first": 56, "second": 152}
 
 
 class TestCheckpointValidation:
-    @pytest.mark.parametrize("array, index, value, rule", [
-        pytest.param("weights", 1, float("nan"), "non-finite", id="nan-weight"),
-        pytest.param("second", 5, float("inf"), "non-finite", id="inf-moment"),
-        pytest.param("weights", 2, -0.25, "simplex", id="negative-weight"),
-        pytest.param("weights", 0, None, "simplex", id="weight-sum"),
-        pytest.param("variances", 4, -1.0, "non-positive variances",
-                     id="negative-variance"),
-        pytest.param("variances", 0, 0.0, "non-positive variances",
-                     id="zero-variance"),
-        pytest.param("counts", 3, -0.5, "negative or mix zero",
+    @pytest.mark.parametrize("array, index, value, rule, reported", [
+        pytest.param("second", 5, float("inf"), "non-finite", "second",
+                     id="inf-moment"),
+        pytest.param("counts", 2, float("nan"), "non-finite", "counts",
+                     id="nan-count"),
+        pytest.param("counts", 3, -0.5, "non-positive counts", "counts",
                      id="negative-count"),
-        pytest.param("counts", 1, 0.0, "negative or mix zero", id="zero-count"),
+        pytest.param("counts", 1, 0.0, "non-positive counts", "counts",
+                     id="zero-count"),
+        pytest.param("second", 4, -1e-3, "negative second moments", "second",
+                     id="negative-second-moment"),
+        # the smallest subnormal count overflows its component's mean
+        pytest.param("counts", 1, 5e-324, "non-finite means", "first",
+                     id="subnormal-count"),
     ])
     def test_corrupt_value_rejected_with_offset(self, tmp_path, array, index,
-                                                value, rule):
+                                                value, rule, reported):
         path = tmp_path / "state.ckpt"
         save_checkpoint(trained_state(), path)
         data = bytearray(path.read_bytes())
-        at = ARRAY_OFFSETS[array] + 8 * index
-        if value is None:  # move the weight sum 1e-6 off one
-            value = struct.unpack_from("<d", data, at)[0] + 1e-6
-        struct.pack_into("<d", data, at, value)
+        struct.pack_into("<d", data, ARRAY_OFFSETS[array] + 8 * index, value)
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match=rule) as err:
             load_checkpoint(path)
-        assert err.value.offset == ARRAY_OFFSETS[array]
+        assert err.value.offset == ARRAY_OFFSETS[reported]
+
+    def test_overflowing_count_sum_rejected(self, tmp_path):
+        path = tmp_path / "state.ckpt"
+        save_checkpoint(trained_state(), path)
+        data = bytearray(path.read_bytes())
+        for index in (0, 1):  # each count is finite, their sum is not
+            struct.pack_into("<d", data, ARRAY_OFFSETS["counts"] + 8 * index, 1e308)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="overflow") as err:
+            load_checkpoint(path)
+        assert err.value.offset == ARRAY_OFFSETS["counts"]
+
+    @pytest.mark.parametrize("k, d, offset", [
+        pytest.param(0, 3, 8, id="K"),
+        pytest.param(4, 0, 12, id="D"),
+    ])
+    def test_zero_dimension_rejected(self, tmp_path, k, d, offset):
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(struct.pack("<4sIIIQ", b"PDGM", 2, k, d, 5))
+        with pytest.raises(CheckpointError, match="=0 in header") as err:
+            load_checkpoint(path)
+        assert err.value.offset == offset
+
+    def test_edited_first_moment_moves_mean(self, tmp_path):
+        path = tmp_path / "state.ckpt"
+        state = trained_state()
+        save_checkpoint(state, path)
+        data = bytearray(path.read_bytes())
+        at = ARRAY_OFFSETS["first"] + 8 * (3 * 2 + 1)  # component 2, coordinate 1
+        count = state.suffstats.s_pi[2]
+        struct.pack_into("<d", data, at, state.suffstats.s_mu[2, 1] + 0.5 * count)
+        path.write_bytes(bytes(data))
+        loaded = load_checkpoint(path)
+        np.testing.assert_allclose(loaded.means[2, 1], state.means[2, 1] + 0.5)
+        others = np.ones(state.means.shape, dtype=bool)
+        others[2, 1] = False
+        assert np.array_equal(loaded.means[others], state.means[others])
+        derived = m_step(loaded.suffstats, GmmConfig.variance_floor)
+        for got, want in zip((loaded.weights, loaded.means, loaded.variances),
+                             derived):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestCsv:
@@ -191,11 +228,10 @@ class TestAtomicWrite:
         state = trained_state()
         save_checkpoint(state, path)
         before = path.read_bytes()
-        # the last array cannot be converted, so the header and five arrays
+        # the last array cannot be converted, so the header and two arrays
         # are already written when the save fails
         broken = SimpleNamespace(
-            k=state.k, d=state.d, step=state.step, weights=state.weights,
-            means=state.means, variances=state.variances,
+            k=state.k, d=state.d, step=state.step,
             suffstats=SimpleNamespace(s_pi=state.suffstats.s_pi,
                                       s_mu=state.suffstats.s_mu,
                                       s_sigma=["not a number"]))

@@ -37,6 +37,27 @@ def cluster_file(tmp_path, n=96, k=4, d=3, seed=0, name="features.csv"):
     return path, centers
 
 
+def run_grid(base, workers):
+    cfg = write_config(base, BASE_CONFIG.replace("sim.epochs=2", "sim.epochs=1"))
+    out = base / "grid"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out), "--grid",
+                 "--workers", str(workers)])
+    assert code == 0
+    return out
+
+
+def grid_artifacts(out):
+    """Bytes of every telemetry file and snapshot under a grid directory."""
+    return {str(p.relative_to(out)): p.read_bytes()
+            for pattern in ("*/telemetry.csv", "*/snapshots/*.ckpt")
+            for p in out.glob(pattern)}
+
+
+@pytest.fixture(scope="module")
+def serial_grid(tmp_path_factory):
+    return grid_artifacts(run_grid(tmp_path_factory.mktemp("serial"), 1))
+
+
 class TestSimulate:
     def test_successful_run(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -63,24 +84,32 @@ class TestSimulate:
                      "--out", str(tmp_path / "run")])
         assert code == 3
 
-    def test_grid_creates_sixteen_runs(self, tmp_path):
-        cfg = write_config(tmp_path, BASE_CONFIG.replace("sim.epochs=2", "sim.epochs=1"))
-        out = tmp_path / "grid"
-        code = main(["simulate", "--config", str(cfg), "--out", str(out), "--grid"])
-        assert code == 0
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_creates_eight_runs(self, tmp_path, serial_grid, workers):
+        out = run_grid(tmp_path, workers)
         subdirs = [p for p in out.iterdir() if p.is_dir()]
         assert len(subdirs) == 8
         for sub in subdirs:
             assert (sub / "telemetry.csv").exists()
+        # forked workers write the same bytes as one process
+        assert grid_artifacts(out) == serial_grid
 
-    @pytest.mark.parametrize("batch", ["0", "-1"])
-    def test_nonpositive_batch_exit_2(self, tmp_path, capsys, batch):
-        cfg = write_config(tmp_path, BASE_CONFIG.replace("sim.batch=32",
-                                                         f"sim.batch={batch}"))
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("sim.batch", "0", id="0"),
+        pytest.param("sim.batch", "-1", id="-1"),
+        pytest.param("sim.grad_clip", "0", id="grad-clip-0"),
+        pytest.param("sim.grad_clip", "-1", id="grad-clip--1"),
+        pytest.param("sim.lr", "-0.5", id="lr--0.5"),
+        pytest.param("sim.epochs", "-3", id="epochs--3"),
+        pytest.param("sim.view_dropout", "1", id="view-dropout-1"),
+        pytest.param("sim.view_dropout", "-0.1", id="view-dropout--0.1"),
+    ])
+    def test_nonpositive_batch_exit_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, BASE_CONFIG + f"{key}={value}\n")
         out = tmp_path / "run"
         code = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == 2
-        assert "sim.batch" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error"
         assert not (out / "telemetry.csv").exists()

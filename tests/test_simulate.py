@@ -349,8 +349,9 @@ class TestConfigText:
         assert mapping["data.exponent"] == "1.5"
 
     def test_unknown_key_named(self):
-        # older configs may still carry gmm.rescaling: rejected, not ignored
-        for key in ("sim.regym", "gmm.rescaling"):
+        # older configs may still carry removed keys: rejected, not ignored
+        for key in ("sim.regym", "gmm.rescaling", "gmm.variance_floor",
+                    "sim.proto_init"):
             with pytest.raises(ConfigError) as err:
                 sim_config_from_text(f"{key}=1\n")
             assert err.value.key == key
