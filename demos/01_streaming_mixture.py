@@ -33,7 +33,7 @@ def main():
     for epoch in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch):
-            state = gmm_update(state, data[order[start:start + batch]], config)
+            state = gmm_update(state, data[order[start:start + batch]], config).state
         if (epoch + 1) % 5 == 0:
             print(f"epoch {epoch + 1:3d}: avg log-likelihood "
                   f"{log_likelihood(state, data):8.3f}")

@@ -32,6 +32,7 @@ from .mixture import (
     GmmConfig,
     LinearSchedule,
     MixtureState,
+    MixtureUpdate,
     SplitEvent,
     StateError,
     SufficientStats,

@@ -5,7 +5,9 @@ grid), ``analyze`` (epsilon sweep and angular statistics of a prototype
 file), ``export-kde`` (PCA + planar and angular density CSVs), and
 ``cluster-stream`` (standalone streaming mixture over a feature file).
 
-Every command accepts ``--seed`` and is bitwise reproducible under it.  Exit
+Every command accepts ``--seed`` and is bitwise reproducible under it.
+``-v/--log-level`` (before the subcommand) sets which log messages reach
+stderr; ``-v info`` shows the mixture's split events.  Exit
 codes: 0 success, 2 user error, 3 I/O failure, 4 degenerate data.  A JSON
 run manifest is written next to the outputs on success and failure alike.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import logging
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +35,6 @@ from .mixture import (
     GmmConfig,
     gmm_update,
     init_mixture,
-    log_likelihood,
 )
 from .simulate import ConfigError, run_experiment, sim_config_from_text, sim_config_to_mapping
 
@@ -223,8 +225,9 @@ def cmd_cluster_stream(args) -> int:
         for epoch in range(args.epochs):
             order_rng = np.random.default_rng([config.rng_seed, 2, epoch])
             for batch in shuffled_batches(features, args.batch_size, order_rng):
-                ll_rows.append((state.step, log_likelihood(state, batch)))
-                state = gmm_update(state, batch, config)
+                update = gmm_update(state, batch, config)
+                ll_rows.append((state.step, update.log_likelihood()))
+                state = update.state
         save_checkpoint(state, out_ckpt)
         ll_path = Path(str(out_ckpt) + ".loglik.csv")
         write_csv(ll_path, ("step", "avg_loglik"), ll_rows)
@@ -242,6 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "and joint-vs-decoupled simulation.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("-v", "--log-level", default="warning",
+                        choices=("debug", "info", "warning", "error"),
+                        help="lowest level of log messages printed on stderr "
+                             "(default: warning; info shows mixture splits)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -305,6 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the bare message format is what unconfigured logging prints for warnings
+    logging.basicConfig(level=args.log_level.upper(), format="%(message)s")
     return args.func(args)
 
 

@@ -8,6 +8,9 @@ means, and diagonal variances.  The means double as the prototype set.  A
 state carries statistics from the moment it is built: one made from
 parameters alone is seeded with per-sample pseudo-counts whose M-step gives
 those parameters back, so the first update is an ordinary update.
+``gmm_update`` evaluates the batch's log densities once and returns them
+with the new state in a ``MixtureUpdate`` record, so the batch's pre-update
+log-likelihood needs no second pass.
 
 One regularizer guards long runs: ``split_resurrect`` halves the mass of an
 over-weighted component into a reinitialized lightest one.  Within
@@ -247,12 +250,47 @@ def _log_densities(state: MixtureState, batch: np.ndarray) -> np.ndarray:
     """Per-sample, per-component diagonal-Gaussian log densities, shape (N, K)."""
     inv_var = 1.0 / state.variances  # (K, D)
     log_norm = -0.5 * (state.d * _LOG_2PI + np.sum(np.log(state.variances), axis=1))
-    quad = (
-        (batch * batch) @ inv_var.T
-        - 2.0 * batch @ (state.means * inv_var).T
-        + np.sum(state.means * state.means * inv_var, axis=1)
-    )
-    return log_norm - 0.5 * quad
+    # the (N, K) work is done in place here and below: at K=1024 a fresh
+    # array per elementwise step cost more than the arithmetic itself
+    quad = (batch * batch) @ inv_var.T
+    quad -= 2.0 * batch @ (state.means * inv_var).T
+    quad += np.sum(state.means * state.means * inv_var, axis=1)
+    quad *= 0.5
+    return np.subtract(log_norm, quad, out=quad)
+
+
+def _check_batch(state: MixtureState, batch: np.ndarray) -> np.ndarray:
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 2 or batch.shape[1] != state.d:
+        raise ValueError(
+            f"batch must be (n, {state.d}), got {batch.shape}"
+        )
+    return batch
+
+
+def _log_weights(state: MixtureState) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(state.weights)
+
+
+def _responsibilities(log_w: np.ndarray, log_dens: np.ndarray,
+                      beta: float) -> np.ndarray:
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    scores = beta * log_dens
+    scores += log_w
+    scores -= scores.max(axis=1, keepdims=True)
+    resp = np.exp(scores, out=scores)
+    resp /= resp.sum(axis=1, keepdims=True)
+    return resp
+
+
+def _mean_log_sum_exp(log_w: np.ndarray, log_dens: np.ndarray) -> float:
+    scores = log_w + log_dens
+    m = scores.max(axis=1, keepdims=True)
+    scores -= m
+    sums = np.sum(np.exp(scores, out=scores), axis=1)
+    return float(np.mean(m[:, 0] + np.log(sums)))
 
 
 def e_step(state: MixtureState, batch: np.ndarray, beta: float) -> np.ndarray:
@@ -261,28 +299,30 @@ def e_step(state: MixtureState, batch: np.ndarray, beta: float) -> np.ndarray:
     Row i is proportional to weight_k * density_ik**beta, evaluated in log
     space with per-row max subtraction so no row can underflow to all zeros.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != state.d:
-        raise ValueError(
-            f"batch must be (n, {state.d}), got {batch.shape}"
-        )
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    with np.errstate(divide="ignore"):
-        scores = np.log(state.weights) + beta * _log_densities(state, batch)
-    scores -= scores.max(axis=1, keepdims=True)
-    resp = np.exp(scores)
-    resp /= resp.sum(axis=1, keepdims=True)
-    return resp
+    batch = _check_batch(state, batch)
+    return _responsibilities(_log_weights(state), _log_densities(state, batch), beta)
 
 
 def log_likelihood(state: MixtureState, batch: np.ndarray) -> float:
     """Mean per-sample log-likelihood of the batch under the mixture."""
-    batch = np.asarray(batch, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        scores = np.log(state.weights) + _log_densities(state, batch)
-    m = scores.max(axis=1, keepdims=True)
-    return float(np.mean(m[:, 0] + np.log(np.sum(np.exp(scores - m), axis=1))))
+    batch = _check_batch(state, batch)
+    return _mean_log_sum_exp(_log_weights(state), _log_densities(state, batch))
+
+
+@dataclass(frozen=True, eq=False)
+class MixtureUpdate:
+    """Result of one ``gmm_update``: the new state, plus the log weights of
+    the state before it and the batch's log densities under that state, the
+    arrays the update itself computed."""
+
+    state: MixtureState
+    log_weights: np.ndarray  # (K,)
+    log_densities: np.ndarray  # (N, K)
+
+    def log_likelihood(self) -> float:
+        """Mean per-sample log-likelihood of the batch under the state before
+        the update; bitwise equal to ``log_likelihood`` of that state."""
+        return _mean_log_sum_exp(self.log_weights, self.log_densities)
 
 
 def batch_suffstats(batch: np.ndarray, resp: np.ndarray) -> SufficientStats:
@@ -410,23 +450,27 @@ def split_resurrect(state: MixtureState, threshold: float,
 
 def gmm_update(state: MixtureState, batch: np.ndarray, config: GmmConfig,
                beta: float | None = None, eta: float | None = None
-               ) -> MixtureState:
+               ) -> MixtureUpdate:
     """One full streaming update: E-step, statistics blend, M-step, split.
 
     ``beta`` and ``eta`` default to the config schedules evaluated at the
     current step.  The split-resurrect draw is seeded from (config seed,
-    step), so trajectories are bitwise reproducible.
+    step), so trajectories are bitwise reproducible.  The batch's
+    pre-update log-likelihood is computed only if the returned record is
+    asked for it.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[0] < 1:
-        raise ValueError(f"batch must be a non-empty 2-d array, got {batch.shape}")
+    batch = _check_batch(state, batch)
+    if batch.shape[0] < 1:
+        raise ValueError(f"batch must be non-empty, got {batch.shape}")
     if not np.all(np.isfinite(batch)):
         raise ValueError("batch contains non-finite entries")
     if beta is None:
         beta = config.beta_at(state.step)
     if eta is None:
         eta = config.eta_at(state.step)
-    resp = e_step(state, batch, beta)
+    log_w = _log_weights(state)
+    log_dens = _log_densities(state, batch)
+    resp = _responsibilities(log_w, log_dens, beta)
     fresh = batch_suffstats(batch, resp)
     # per-sample averages, on the scale of the seeded pseudo-counts; scaling
     # the (K,) and (K, D) sums is cheaper than scaling the (N, K) resp
@@ -446,4 +490,4 @@ def gmm_update(state: MixtureState, batch: np.ndarray, config: GmmConfig,
                     "split step %d: component %d (weight %.4f) -> resurrect %d",
                     new_state.step, ev.dominant, ev.old_weight, ev.resurrected,
                 )
-    return new_state
+    return MixtureUpdate(new_state, log_w, log_dens)

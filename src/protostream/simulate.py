@@ -253,7 +253,7 @@ def prototype_step_decoupled(state: SimState,
     """
     if state.config.regime != "decoupled":
         raise ValueError("prototype updates via the mixture require regime=decoupled")
-    mixture = gmm_update(state.mixture, teacher_latents, state.config.gmm)
+    mixture = gmm_update(state.mixture, teacher_latents, state.config.gmm).state
     return replace(state, mixture=mixture, prototypes=mixture.means)
 
 

@@ -229,3 +229,47 @@ def bessel_i0(x, terms=200):
         if term < 1e-18 * total:
             break
     return total
+
+
+class OracleCsvError(ValueError):
+    """A matrix CSV the list-based reader refuses, with its row and offset."""
+
+    def __init__(self, message, row, offset):
+        super().__init__(message)
+        self.row = row
+        self.offset = offset
+
+
+def oracle_read_matrix_csv(text):
+    """The list-based matrix CSV reader: lines split at LF, lines that strip
+    to nothing skipped, each cell read by ``float``, then a finiteness check.
+
+    ``row`` is the 1-based file line (``None`` for file-level faults).
+    """
+    lines = text.split(b"\n")
+    header = lines[0].decode("utf-8", errors="replace").strip()
+    if not header:
+        raise OracleCsvError("empty", None, 0)
+    cols = header.split(",")
+    if cols != ["d%d" % i for i in range(len(cols))]:
+        raise OracleCsvError("header", None, 0)
+    rows, where = [], []
+    offset = len(lines[0]) + 1
+    for lineno, line in enumerate(lines[1:], start=2):
+        stripped = line.strip()
+        if stripped:
+            parts = stripped.split(b",")
+            if len(parts) != len(cols):
+                raise OracleCsvError("ragged", lineno, offset)
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError:
+                raise OracleCsvError("not numeric", lineno, offset) from None
+            where.append((lineno, offset))
+        offset += len(line) + 1
+    if not rows:
+        raise OracleCsvError("no data rows", None, len(text))
+    for values, (lineno, at) in zip(rows, where):
+        if not all(math.isfinite(v) for v in values):
+            raise OracleCsvError("non-finite", lineno, at)
+    return np.array(rows, dtype=np.float64)

@@ -86,7 +86,7 @@ class TestAcceptance:
         w0, m0, v0 = (state.weights.copy(), state.means.copy(),
                       state.variances.copy())
         for _ in range(25):
-            state = gmm_update(state, batch, config, beta=1.0, eta=0.0)
+            state = gmm_update(state, batch, config, beta=1.0, eta=0.0).state
         ow, om, ov = oracles.oracle_em_run(batch, w0, m0, v0, 25)
         diff = max(np.abs(state.weights - ow).max(),
                    np.abs(state.means - om).max(),
@@ -213,7 +213,7 @@ class TestAcceptance:
                 violations.append(f"step {step}: responsibility rows")
             before = state.suffstats
             distant_resp_zero = bool(np.all(resp[:, 5] == 0.0))
-            state = gmm_update(state, batch, config)
+            state = gmm_update(state, batch, config).state
             if abs(state.weights.sum() - 1.0) > 1e-9 or state.weights.min() < 0:
                 violations.append(f"step {step}: weights off simplex")
             if state.variances.min() < config.variance_floor:

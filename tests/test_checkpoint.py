@@ -1,10 +1,12 @@
 import ast
+import re
 import struct
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import protostream
 from protostream.checkpoint import (
@@ -26,7 +28,7 @@ def trained_state(seed=0, steps=5, k=4, d=3):
     config = GmmConfig(total_steps=steps, rng_seed=seed)
     state = init_mixture(k, d, rng=rng)
     for _ in range(steps):
-        state = gmm_update(state, rng.standard_normal((32, d)), config)
+        state = gmm_update(state, rng.standard_normal((32, d)), config).state
     return state
 
 
@@ -159,6 +161,52 @@ class TestCheckpointValidation:
             assert got.tobytes() == want.tobytes()
 
 
+# cells both readers accept with equal values; the bad ones, including
+# non-finite values, both refuse at the same row (the reader also refuses
+# "1_0", which float() accepts, so the grammar leaves it out)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_GOOD_CELLS = st.one_of(
+    _FLOATS.map(repr),
+    _FLOATS.map(lambda v: format(v, ".17g")),
+    _FLOATS.map(lambda v: format(v, ".6e")),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["+1", "-0", ".5", "5.", "1E-3", " 2", "3 ", "\t4", "4.9e-324"]),
+)
+_BAD_CELLS = st.sampled_from(["", "x", "1.2.3", "#3", "1e", "--1", "0x10", "nan",
+                              "inf", "-Infinity", "1e400"])
+
+
+@st.composite
+def csv_files(draw):
+    """A matrix CSV with LF or CRLF lines, blank lines and a few faults."""
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_GOOD_CELLS, min_size=d, max_size=d),
+                         min_size=1, max_size=8))
+    if draw(st.integers(0, 9)) == 0:
+        rows = []
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        j = draw(st.integers(0, len(row) - 1))
+        fault = draw(st.sampled_from(["cell", "drop", "extra"]))
+        if fault == "cell":
+            row[j] = draw(_BAD_CELLS)
+        elif fault == "drop" and len(row) > 1:
+            del row[j]
+        else:
+            row.insert(j, draw(_GOOD_CELLS))
+    header = ",".join(f"d{i}" for i in range(d))
+    header = draw(st.sampled_from([header] * 12 + ["d1", "x,y", ""]))
+    lines = [header] + [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode()
+
+
 class TestCsv:
     def test_matrix_round_trip_is_lossless(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -174,12 +222,96 @@ class TestCsv:
         with pytest.raises(CheckpointError):
             read_matrix_csv(path)
 
-    def test_ragged_row_reports_offset(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("d0,d1\n1,2\n3\n")
+    @staticmethod
+    def rejected(tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode() if isinstance(text, str) else text)
         with pytest.raises(CheckpointError) as err:
             read_matrix_csv(path)
-        assert err.value.offset > 0
+        return err.value
+
+    def test_ragged_row_reports_offset(self, tmp_path):
+        err = self.rejected(tmp_path, "d0,d1\n1,2\n3\n")
+        assert "row 3 has 1 values, expected 2" in str(err)
+        assert err.offset == len("d0,d1\n1,2\n")
+
+    def test_non_numeric_cell_reports_row_and_offset(self, tmp_path):
+        err = self.rejected(tmp_path, "d0,d1\n1,2\n\n3,4\n5,x\n6,7\n")
+        assert "row 5 is not numeric" in str(err)
+        assert err.offset == len("d0,d1\n1,2\n\n3,4\n")
+
+    @pytest.mark.parametrize("text", ["d0,d1\n", "d0,d1", "d0,d1\n\n\r\n"])
+    def test_header_only_has_no_data_rows(self, tmp_path, text):
+        err = self.rejected(tmp_path, text)
+        assert "no data rows" in str(err)
+        assert err.offset == len(text)
+
+    @pytest.mark.parametrize("row", ["#3,4", "3,4#5"])
+    def test_hash_is_not_a_comment(self, tmp_path, row):
+        err = self.rejected(tmp_path, f"d0,d1\n1,2\n{row}\n")
+        assert "row 3 is not numeric" in str(err)
+        assert err.offset == len("d0,d1\n1,2\n")
+
+    def test_underscore_digits_rejected(self, tmp_path):
+        # float() reads "1_0" as 10.0; numpy's parser, and so the reader, does not
+        assert float("1_0") == 10.0
+        err = self.rejected(tmp_path, "d0,d1\n1,2\n1_0,3\n")
+        assert "row 3 is not numeric" in str(err)
+        assert err.offset == len("d0,d1\n1,2\n")
+
+    def test_whitespace_only_line_is_a_row(self, tmp_path):
+        # only an empty line is skipped; one holding spaces is a bad row
+        err = self.rejected(tmp_path, "d0\n1\n  \n2\n")
+        assert "row 3 is not numeric" in str(err)
+        assert err.offset == len("d0\n1\n")
+
+    def test_lone_carriage_return_ends_a_line(self, tmp_path):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"d0\n1\r2\n")
+        np.testing.assert_array_equal(read_matrix_csv(path), [[1.0], [2.0]])
+        err = self.rejected(tmp_path, b"d0\n1\rx\n3\n")
+        assert "row 3 is not numeric" in str(err)
+        assert err.offset == len("d0\n1\r")
+
+    @pytest.mark.parametrize("text", [
+        "d0,d1\r\n1.5,-2e-3\r\n3,4\r\n",
+        "d0,d1\n\n1.5,-2e-3\n\n\n3,4\n\n",
+        "d0,d1\r\n\r\n1.5,-2e-3\n\r\n3,4",
+        "d0,d1\n 1.5 ,\t-2e-3\n3,4\n",
+    ], ids=["crlf", "blank-lines", "mixed", "padded-cells"])
+    def test_line_endings_and_blank_lines_parse_like_lf(self, tmp_path, text):
+        lf, other = tmp_path / "lf.csv", tmp_path / "other.csv"
+        lf.write_bytes(b"d0,d1\n1.5,-2e-3\n3,4\n")
+        other.write_bytes(text.encode())
+        assert read_matrix_csv(other).tobytes() == read_matrix_csv(lf).tobytes()
+
+    @pytest.mark.parametrize("text, shape", [
+        ("d0,d1,d2\n1,2,3\n", (1, 3)),
+        ("d0\n1\n2\n", (2, 1)),
+        ("d0\n5", (1, 1)),
+    ])
+    def test_one_row_and_one_column_stay_two_dimensional(self, tmp_path, text, shape):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        assert read_matrix_csv(path).shape == shape
+
+    @settings(max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_agrees_with_list_based_reader(self, tmp_path, data):
+        text = data.draw(csv_files())
+        path = tmp_path / "drawn.csv"
+        path.write_bytes(text)
+        try:
+            want = ("ok", oracles.oracle_read_matrix_csv(text).tobytes())
+        except oracles.OracleCsvError as err:
+            want = ("error", err.row, err.offset)
+        try:
+            got = ("ok", read_matrix_csv(path).tobytes())
+        except CheckpointError as err:
+            row = re.match(r"row (\d+) ", str(err))
+            got = ("error", row and int(row.group(1)), err.offset)
+        assert got == want
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_reports_row_and_offset(self, tmp_path, cell):

@@ -1,10 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from protostream.checkpoint import load_checkpoint, write_matrix_csv
+from protostream.checkpoint import (
+    load_checkpoint, read_matrix_csv, write_csv, write_matrix_csv,
+)
 from protostream.cli import main
+from protostream.datagen import shuffled_batches
+from protostream.mixture import GmmConfig, gmm_update, init_mixture, log_likelihood
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 BASE_CONFIG = """
 sim.regime=decoupled
@@ -256,6 +266,47 @@ class TestClusterStream:
             main(["cluster-stream", "--features", str(features),
                   "--out", str(tmp_path / "m.ckpt"), "--no-rescaling"])
         assert err.value.code == 2
+
+    def test_loglik_equals_replay_with_public_log_likelihood(self, tmp_path):
+        features, _ = cluster_file(tmp_path, n=90)
+        out = tmp_path / "m.ckpt"
+        code = main(["cluster-stream", "--features", str(features), "--out", str(out),
+                     "-k", "5", "--batch-size", "16", "--epochs", "3", "--seed", "6",
+                     "--resurrect-threshold", "0.25"])
+        assert code == 0
+        # the same run, with the log-likelihood evaluated before each update
+        points = read_matrix_csv(features)
+        config = GmmConfig(total_steps=3 * 6, rng_seed=6, resurrect_threshold=0.25)
+        state = init_mixture(5, 3, init_points=points, config=config,
+                             rng=np.random.default_rng([6, 1]))
+        rows = []
+        for epoch in range(3):
+            order_rng = np.random.default_rng([6, 2, epoch])
+            for batch in shuffled_batches(points, 16, order_rng):
+                rows.append((state.step, log_likelihood(state, batch)))
+                state = gmm_update(state, batch, config).state
+        replay = tmp_path / "replay.csv"
+        write_csv(replay, ("step", "avg_loglik"), rows)
+        assert (tmp_path / "m.ckpt.loglik.csv").read_bytes() == replay.read_bytes()
+        saved = load_checkpoint(out).suffstats
+        assert saved.s_mu.tobytes() == state.suffstats.s_mu.tobytes()
+
+    def test_log_level_info_prints_splits(self, tmp_path):
+        features, _ = cluster_file(tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+        def run(*flags):
+            argv = [sys.executable, "-m", "protostream", *flags, "cluster-stream",
+                    "--features", str(features), "--out", str(tmp_path / "m.ckpt"),
+                    "-k", "8", "--epochs", "2", "--resurrect-threshold", "0.2"]
+            done = subprocess.run(argv, env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert done.returncode == 0, done.stderr
+            return done.stderr
+
+        assert "split step" in run("-v", "info")
+        assert "split step" not in run()
 
     def test_same_seed_bitwise_identical(self, tmp_path):
         features, _ = cluster_file(tmp_path)

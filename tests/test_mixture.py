@@ -8,11 +8,13 @@ from protostream.mixture import (
     DegenerateComponentError,
     GmmConfig,
     MixtureState,
+    SufficientStats,
     batch_suffstats,
     e_step,
     forget_and_merge,
     gmm_update,
     init_mixture,
+    log_likelihood,
     m_step,
     split_resurrect,
     spread_unit_vectors,
@@ -357,7 +359,7 @@ class TestGmmUpdate:
         config = toggles_off()
         state = init_mixture(3, 2, rng=rng)
         batch = rng.standard_normal((12, 2))
-        new_state = gmm_update(state, batch, config, beta=1.0, eta=0.0)
+        new_state = gmm_update(state, batch, config, beta=1.0, eta=0.0).state
         assert new_state.step == 1
         ow, om, ov = oracles.oracle_em_step(batch, state.weights, state.means,
                                             state.variances)
@@ -376,7 +378,7 @@ class TestGmmUpdate:
         # iteration on the batch; checking every step pins the count, since
         # the fixture converges long before the last one
         for t in range(1, 21):
-            state = gmm_update(state, batch, config, beta=1.0, eta=0.0)
+            state = gmm_update(state, batch, config, beta=1.0, eta=0.0).state
             ow, om, ov = oracles.oracle_em_run(batch, *start, t)
             np.testing.assert_allclose(state.weights, ow, rtol=0, atol=1e-10)
             np.testing.assert_allclose(state.means, om, rtol=0, atol=1e-10)
@@ -391,7 +393,7 @@ class TestGmmUpdate:
             state = init_mixture(3, 4, init_points=batch, config=config,
                                  rng=np.random.default_rng(7))
             for _ in range(10):
-                state = gmm_update(state, batch, config)
+                state = gmm_update(state, batch, config).state
             return state
 
         a, b = run(), run()
@@ -420,6 +422,61 @@ class TestGmmUpdate:
         assert state.step == 0
 
 
+class TestFusedUpdate:
+    """``gmm_update`` evaluates the densities once and hands them out."""
+
+    @staticmethod
+    def trained(config, steps=5):
+        rng = np.random.default_rng(21)
+        batch, _ = separated_batch(rng, k=5, d=4, n=96)
+        state = init_mixture(6, 4, init_points=batch, config=config,
+                             rng=np.random.default_rng(8))
+        for _ in range(steps):
+            state = gmm_update(state, batch, config).state
+        return state, rng.permutation(batch)[:40]
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_record_log_likelihood_is_bitwise_the_public_one(self, beta):
+        config = GmmConfig(total_steps=20, rng_seed=4)
+        state, batch = self.trained(config)
+        update = gmm_update(state, batch, config, beta=beta)
+        want = log_likelihood(state, batch)
+        assert np.float64(update.log_likelihood()).tobytes() == np.float64(want).tobytes()
+        assert update.log_densities.shape == (40, 6)
+
+    @pytest.mark.parametrize("forgetting", [True, False])
+    def test_state_is_bitwise_the_composed_update(self, forgetting):
+        config = GmmConfig(total_steps=20, rng_seed=4, resurrect=False,
+                           responsibility_forgetting=forgetting)
+        state, batch = self.trained(config)
+        beta, eta = config.beta_at(state.step), config.eta_at(state.step)
+        resp = e_step(state, batch, beta)
+        fresh = batch_suffstats(batch, resp)
+        n = batch.shape[0]
+        fresh = SufficientStats(fresh.s_pi / n, fresh.s_mu / n, fresh.s_sigma / n)
+        stats = forget_and_merge(state, fresh, resp, eta, forgetting)
+        want = m_step(stats, GmmConfig.variance_floor)
+        got = gmm_update(state, batch, config).state
+        assert got.step == state.step + 1
+        for a, b in zip((got.weights, got.means, got.variances,
+                         got.suffstats.s_pi, got.suffstats.s_mu,
+                         got.suffstats.s_sigma),
+                        (*want, stats.s_pi, stats.s_mu, stats.s_sigma)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_rejects_beta_outside_unit_interval(self):
+        config = toggles_off()
+        state, batch = self.trained(config, steps=0)
+        with pytest.raises(ValueError, match="beta"):
+            gmm_update(state, batch, config, beta=1.5)
+
+    def test_rejects_wrong_dimension(self):
+        config = toggles_off()
+        state, batch = self.trained(config, steps=0)
+        with pytest.raises(ValueError, match=r"batch must be \(n, 4\)"):
+            gmm_update(state, batch[:, :3], config)
+
+
 class TestRegularizersPersist:
     """Splits act on the statistics, so the next update keeps them."""
 
@@ -430,7 +487,7 @@ class TestRegularizersPersist:
         with caplog.at_level(logging.INFO, logger="protostream.mixture"):
             for _ in range(100):
                 state = gmm_update(state, 0.1 * rng.standard_normal((64, 4)),
-                                   config)
+                                   config).state
                 derived = m_step(state.suffstats, config.variance_floor)
                 for got, want in zip((state.weights, state.means,
                                       state.variances), derived):
@@ -456,7 +513,7 @@ class TestInvariants:
             batch = rng.standard_normal((16, 3)) * rng.uniform(0.5, 2.0)
             resp = e_step(state, batch, config.beta_at(state.step))
             np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-9)
-            state = gmm_update(state, batch, config)
+            state = gmm_update(state, batch, config).state
             assert abs(state.weights.sum() - 1.0) < 1e-9
             assert np.all(state.weights >= 0.0)
             assert np.all(state.variances >= config.variance_floor)
@@ -525,7 +582,7 @@ def _invariant_stream(k, d, threshold, toggles, seed, steps):
         n = int(rng.integers(1, 40))
         batch = (centers[rng.integers(0, centers.shape[0], size=n)]
                  + rng.uniform(0.01, 1.0) * rng.standard_normal((n, d)))
-        state = gmm_update(state, batch, config)
+        state = gmm_update(state, batch, config).state
         derived = m_step(state.suffstats, config.variance_floor)
         for got, want in zip((state.weights, state.means, state.variances),
                              derived):

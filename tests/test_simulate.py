@@ -269,7 +269,8 @@ class TestPrototypeStepDecoupled:
         for epoch in range(epochs):
             order = rng.permutation(n)
             for start in range(0, n, batch):
-                state = gmm_update(state, latents[order[start:start + batch]], config)
+                state = gmm_update(state, latents[order[start:start + batch]],
+                                   config).state
 
         ow, om, ov = oracles.oracle_em_run(latents, w0, m0, v0, 40)
         cost = np.linalg.norm(state.means[:, None, :] - om[None, :, :], axis=2)
