@@ -312,8 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # the bare message format is what unconfigured logging prints for warnings
+    # the bare message format is what unconfigured logging prints for warnings;
+    # basicConfig does nothing once the root logger has a handler, so the
+    # package logger's level is what lets records reach a host's handlers
     logging.basicConfig(level=args.log_level.upper(), format="%(message)s")
+    logging.getLogger(__package__).setLevel(args.log_level.upper())
     return args.func(args)
 
 

@@ -13,9 +13,16 @@ At epsilon 0 every prototype counts as unique and no dot product is taken.
 For epsilon > 0 the rows are scanned in blocks of ``_ROW_BLOCK``: per
 block, one GEMM against the representatives found so far (kept in a
 preallocated K x D buffer) and one Gram matrix of the block's unplaced
-rows.  The cost is a few BLAS calls per block and the temporaries are
-O(block * K).  ``angular_stats`` accumulates its histogram, minimum and sum
-over the same row blocks instead of holding all K(K-1)/2 angles at once.
+rows.  A row is covered iff 1 - (its largest dot) < epsilon, which is
+exact because fl(1 - g) never rises with g; only covered rows look for
+their first covering representative.  Among the unplaced rows, one with no
+neighbour in the block opens its own partition without a Python step; only
+linked rows go through the sequential first-fit loop.  The cost is a few
+BLAS calls per block and the temporaries are O(block * K).
+``angular_stats`` accumulates its 1-degree histogram, minimum and sum over
+the same row blocks instead of holding all K(K-1)/2 angles at once; an
+angle's bin is its integer part (180 goes to the last bin), which is
+``np.histogram``'s bin for these edges.
 
 Nothing here writes files: the ``analyze`` command passes the reports and
 the histogram to ``checkpoint.write_csv``.
@@ -38,6 +45,10 @@ _ANGLE_SEED = 1234
 # subsampled angles: each bounds a temporary to block * K or chunk * D floats
 _ROW_BLOCK = 256
 _ANGLE_PAIR_CHUNK = 1 << 15
+# the angle histogram has one bin per degree; its bin indices are built for
+# at most this many angles at a time
+_ANGLE_BINS = 180
+_ANGLE_COUNT_BLOCK = 1 << 16
 
 
 @dataclass
@@ -116,10 +127,12 @@ def count_unique(protos: PrototypeMatrix, epsilon: float) -> CollapseReport:
             owner = np.full(block.shape[0], -1)
             m = len(rep_indices)
             if m:
-                hit = 1.0 - block @ reps[:m].T < epsilon
-                found = hit.any(axis=1)
-                # the lowest-index representative that covers the row
-                owner[found] = hit[found].argmax(axis=1)
+                # fl(1 - g) falls as g rises, so the best dot decides coverage
+                dots = block @ reps[:m].T
+                covered = 1.0 - dots.max(axis=1) < epsilon
+                if covered.any():
+                    # the lowest-index representative that covers the row
+                    owner[covered] = (1.0 - dots[covered] < epsilon).argmax(axis=1)
             free = np.flatnonzero(owner < 0)
             if free.size:
                 # unplaced rows can only join representatives opened earlier
@@ -128,16 +141,26 @@ def count_unique(protos: PrototypeMatrix, epsilon: float) -> CollapseReport:
                 # representative still open to them
                 unplaced = block[free]
                 near = 1.0 - unplaced @ unplaced.T < epsilon
-                pending = np.ones(free.size, dtype=bool)
-                for a in range(free.size):
-                    if not pending[a]:
-                        continue
-                    members = pending & near[a]
-                    members[a] = True  # even where 1 - v.v rounds above epsilon
-                    owner[free[members]] = len(rep_indices)
-                    pending &= ~members
-                    reps[len(rep_indices)] = block[free[a]]
-                    rep_indices.append(start + int(free[a]))
+                # a row's own ball holds it even where 1 - v.v rounds above
+                # epsilon; the Gram matrix need not be bitwise symmetric
+                np.fill_diagonal(near, False)
+                linked = near.any(axis=0) | near.any(axis=1)
+                # an isolated row leads its own partition without a loop step
+                leader = np.arange(free.size)
+                pending = linked.copy()
+                for a in np.flatnonzero(linked):
+                    if pending[a]:
+                        members = pending & near[a]
+                        leader[members] = a
+                        pending[a] = False
+                        pending &= ~members
+                opened = leader == np.arange(free.size)
+                # representatives are numbered in row order
+                number = np.cumsum(opened) + (m - 1)
+                owner[free] = number[leader]
+                new = free[opened]
+                reps[m:m + new.size] = block[new]
+                rep_indices.extend((start + new).tolist())
             assignment[start:start + block.shape[0]] = owner
     m = len(rep_indices)
     sizes = np.bincount(assignment, minlength=m)
@@ -165,9 +188,9 @@ def epsilon_sweep(protos: PrototypeMatrix, epsilons) -> list[CollapseReport]:
 DEFAULT_EPSILON_GRID = (0.0, 0.025, 0.05, 0.1, 0.25, 0.5)
 
 
-def angular_stats(protos: PrototypeMatrix, bins: int = 180,
+def angular_stats(protos: PrototypeMatrix,
                   pair_k_cap: int = ANGLE_PAIR_K_CAP) -> AngularStats:
-    """Histogram of pairwise angles in degrees, plus min and mean.
+    """Histogram of pairwise angles in 1-degree bins, plus min and mean.
 
     All K(K-1)/2 pairs are used up to ``pair_k_cap`` prototypes; beyond that
     a fixed-seed uniform subsample of pairs keeps the cost bounded.
@@ -190,14 +213,18 @@ def angular_stats(protos: PrototypeMatrix, bins: int = 180,
                   for s in range(0, _ANGLE_PAIR_BUDGET, _ANGLE_PAIR_CHUNK))
     else:
         chunks = _upper_triangle_dots(rows)
-    counts = np.zeros(bins, dtype=np.intp)
+    counts = np.zeros(_ANGLE_BINS, dtype=np.intp)
     min_deg, total, used = np.inf, 0.0, 0
     for dots in chunks:
         angles = np.clip(dots, -1.0, 1.0, out=dots)
         np.arccos(angles, out=angles)
         np.degrees(angles, out=angles)
-        block_counts, edges = np.histogram(angles, bins=bins, range=(0.0, 180.0))
-        counts += block_counts
+        # angles lie in [0, 180] and the edges are the integers, so truncation
+        # is np.histogram's bin, with 180 itself in the last one
+        for s in range(0, angles.size, _ANGLE_COUNT_BLOCK):
+            index = angles[s:s + _ANGLE_COUNT_BLOCK].astype(np.intp)
+            np.minimum(index, _ANGLE_BINS - 1, out=index)
+            counts += np.bincount(index, minlength=_ANGLE_BINS)
         min_deg = min(min_deg, float(angles.min()))
         total += float(angles.sum())
         used += angles.size
@@ -205,7 +232,7 @@ def angular_stats(protos: PrototypeMatrix, bins: int = 180,
         min_deg=min_deg,
         mean_deg=total / used,
         hist_counts=counts,
-        hist_edges_deg=edges,
+        hist_edges_deg=np.linspace(0.0, 180.0, _ANGLE_BINS + 1),
         n_pairs_total=n_total,
         n_pairs_used=used,
         subsampled=subsampled,

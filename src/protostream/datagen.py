@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mixture import ConfigError
+
 
 @dataclass
 class DataSpec:
@@ -26,14 +28,18 @@ class DataSpec:
     test_fraction: float = 0.2
 
     def __post_init__(self):
+        # errors name the experiment-config key of the field at fault; a
+        # cross-field check names the field it bounds
         if self.mode not in ("balanced", "longtail"):
-            raise ValueError(f"unknown data mode {self.mode!r}")
-        if self.n_classes < 1 or self.n_samples < self.n_classes:
-            raise ValueError("need at least one sample per class")
+            raise ConfigError("data.mode", f"unknown data mode {self.mode!r}")
+        if self.n_classes < 1:
+            raise ConfigError("data.classes", "need at least one class")
+        if self.n_samples < self.n_classes:
+            raise ConfigError("data.samples", "need at least one sample per class")
         if self.tail_max >= self.head_min:
-            raise ValueError("tail_max must be below head_min")
+            raise ConfigError("data.tail_max", "tail_max must be below head_min")
         if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must lie in (0, 1)")
+            raise ConfigError("data.test_fraction", "test_fraction must lie in (0, 1)")
 
 
 @dataclass

@@ -47,6 +47,14 @@ class DegenerateComponentError(RuntimeError):
     """Raised when a component's count statistic is non-positive in the M-step."""
 
 
+class ConfigError(ValueError):
+    """Invalid experiment configuration; carries the offending key."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"config key {key!r}: {message}")
+        self.key = key
+
+
 class StateError(RuntimeError):
     """Raised when a diagnostic is given a ``PrototypeMatrix`` whose rows are
     not normalized."""
@@ -97,18 +105,20 @@ class GmmConfig:
     init_variance: float = 1.0
 
     def __post_init__(self):
+        # errors name the experiment-config key of the field at fault
         if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        for name in ("eta_start", "eta_end"):
+            raise ConfigError("gmm.beta", f"beta must lie in [0, 1], got {self.beta}")
+        for name, key in (("eta_start", "gmm.eta.start"), ("eta_end", "gmm.eta.end")):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+                raise ConfigError(key, f"{name} must lie in [0, 1], got {v}")
         if not 0.0 < self.resurrect_threshold <= 1.0:
-            raise ValueError(
+            raise ConfigError(
+                "gmm.resurrect_threshold",
                 f"resurrect_threshold must lie in (0, 1], got {self.resurrect_threshold}"
             )
         if self.init_variance <= 0.0:
-            raise ValueError("init_variance must be positive")
+            raise ConfigError("gmm.init_variance", "init_variance must be positive")
 
     def beta_at(self, step: int) -> float:
         if self.annealing:

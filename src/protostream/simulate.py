@@ -22,7 +22,14 @@ from .checkpoint import save_checkpoint, write_csv
 from .collapse import count_unique, normalize_rows
 from .datagen import DataSpec, Dataset, make_dataset, make_views, shuffled_batches
 from .encoder import EncoderParams, backward, forward, init_encoder
-from .mixture import GmmConfig, MixtureState, gmm_update, init_mixture, spread_unit_vectors
+from .mixture import (
+    ConfigError,
+    GmmConfig,
+    MixtureState,
+    gmm_update,
+    init_mixture,
+    spread_unit_vectors,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -31,14 +38,6 @@ TELEMETRY_EPSILONS = (0.025, 0.05, 0.1, 0.25, 0.5)
 TELEMETRY_HEADER = ("epoch", "loss",
                     *(f"uniq_eps_{e}" for e in TELEMETRY_EPSILONS),
                     "acc_all", "acc_head", "acc_med", "acc_tail")
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; carries the offending key."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(f"config key {key!r}: {message}")
-        self.key = key
 
 
 @dataclass
@@ -64,8 +63,10 @@ class SimConfig:
     def __post_init__(self):
         if self.regime not in ("joint", "decoupled"):
             raise ConfigError("sim.regime", f"unknown regime {self.regime!r}")
-        if self.tau_student <= 0.0 or self.tau_teacher <= 0.0:
+        if self.tau_student <= 0.0:
             raise ConfigError("sim.tau_student", "temperatures must be positive")
+        if self.tau_teacher <= 0.0:
+            raise ConfigError("sim.tau_teacher", "temperatures must be positive")
         if not 0.0 <= self.ema_momentum < 1.0:
             raise ConfigError("sim.ema", "EMA momentum must lie in [0, 1)")
         if self.views < 2:

@@ -183,9 +183,26 @@ class TestVmfKdeAngles:
             kde = vmf_kde_angles(pts, kappa=7.5, n_samples=1000)
         angles = np.arctan2(pts[:, 1], pts[:, 0])
         grid = np.linspace(-np.pi, np.pi, 1000)
-        want = np.exp(7.5 * (np.cos(grid[:, None] - angles[None, :]) - 1.0)).sum(axis=1)
+        # one pass of the angle-addition form over the whole grid
+        cos_diff = (np.multiply.outer(np.cos(grid), np.cos(angles))
+                    + np.multiply.outer(np.sin(grid), np.sin(angles)))
+        want = np.exp(7.5 * (cos_diff - 1.0)).sum(axis=1)
         want /= 300 * (2.0 * np.pi * float(i0e(7.5)))
         assert np.array_equal(kde.density, want)
+
+    @pytest.mark.parametrize("kappa", [0.5, 20.0, 700.0, 5000.0])
+    def test_angle_addition_close_to_direct_cosine(self, kappa):
+        # the direct form cos(a - a_i): a few ulp in the cosine move the
+        # density by about 2.2e-16 * kappa relative
+        rng = np.random.default_rng(13)
+        pts = rng.standard_normal((400, 2))
+        kde = vmf_kde_angles(pts, kappa=kappa)
+        angles = np.arctan2(pts[:, 1], pts[:, 0])
+        want = np.exp(kappa * (np.cos(kde.x[:, None] - angles[None, :]) - 1.0))
+        want = want.sum(axis=1) / (400 * 2.0 * np.pi * float(i0e(kappa)))
+        assert want.min() > 0.0
+        np.testing.assert_allclose(kde.density, want, rtol=1e-15 * max(1.0, kappa),
+                                   atol=0)
 
     @pytest.mark.parametrize("kappa", [0.5, 20.0, 100.0])
     def test_matches_unscaled_kernel(self, kappa):

@@ -207,6 +207,53 @@ def csv_files(draw):
     return text.encode()
 
 
+_VALID_CHECKPOINT = []
+
+
+def valid_checkpoint_bytes(tmp_path) -> bytes:
+    if not _VALID_CHECKPOINT:
+        path = tmp_path / "valid.ckpt"
+        save_checkpoint(trained_state(), path)
+        _VALID_CHECKPOINT.append(path.read_bytes())
+    return _VALID_CHECKPOINT[0]
+
+
+class TestCorruptionProperty:
+    """A damaged checkpoint is refused, or loads as a consistent state."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_refused_or_consistent(self, tmp_path, data):
+        blob = bytearray(valid_checkpoint_bytes(tmp_path))
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            for _ in range(data.draw(st.integers(1, 8), label="bytes")):
+                at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+                blob[at] = data.draw(st.integers(0, 255), label="value")
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(bytes(blob))
+        try:
+            state = load_checkpoint(path)
+        except CheckpointError:
+            return
+        stats = state.suffstats
+        for arr in (state.weights, state.means, state.variances,
+                    stats.s_pi, stats.s_mu, stats.s_sigma):
+            assert np.isfinite(arr).all()
+        assert np.all(state.weights >= 0.0)
+        assert abs(state.weights.sum() - 1.0) <= 1e-9
+        assert np.all(state.variances >= GmmConfig.variance_floor)
+        # as in load_checkpoint: a huge mean may overflow its square, and
+        # the variance is then floored
+        with np.errstate(over="ignore"):
+            weights, means, variances = m_step(stats, GmmConfig.variance_floor)
+        assert np.array_equal(state.weights, weights)
+        assert np.array_equal(state.means, means)
+        assert np.array_equal(state.variances, variances)
+
+
 class TestCsv:
     def test_matrix_round_trip_is_lossless(self, tmp_path):
         rng = np.random.default_rng(2)

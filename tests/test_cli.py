@@ -1,4 +1,6 @@
+import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -307,6 +309,30 @@ class TestClusterStream:
 
         assert "split step" in run("-v", "info")
         assert "split step" not in run()
+
+    def test_log_level_info_reaches_configured_root_handler(self, tmp_path):
+        # a host that configured logging first: basicConfig then does nothing
+        features, _ = cluster_file(tmp_path)
+        stream = io.StringIO()
+        handler = logging.StreamHandler(stream)
+        root, package = logging.getLogger(), logging.getLogger("protostream")
+        level = package.level
+        root.addHandler(handler)
+        try:
+            def run(*flags):
+                assert main([*flags, "cluster-stream", "--features", str(features),
+                             "--out", str(tmp_path / "m.ckpt"), "-k", "8",
+                             "--epochs", "2", "--resurrect-threshold", "0.2"]) == 0
+                text = stream.getvalue()
+                stream.seek(0)
+                stream.truncate()
+                return text
+
+            assert "split step" in run("-v", "info")
+            assert "split step" not in run()
+        finally:
+            root.removeHandler(handler)
+            package.setLevel(level)
 
     def test_same_seed_bitwise_identical(self, tmp_path):
         features, _ = cluster_file(tmp_path)

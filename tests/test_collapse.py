@@ -164,6 +164,87 @@ class TestCountUniqueBlocked:
                 assert report.epsilon == eps
 
 
+def arc_rows(radians, plane=0, d=6):
+    """Unit rows at the given angles on the great circle of axes 2p, 2p+1."""
+    rows = np.zeros((len(radians), d))
+    rows[:, 2 * plane] = np.cos(radians)
+    rows[:, 2 * plane + 1] = np.sin(radians)
+    return rows
+
+
+def chain(n, step, plane=0):
+    """n rows step radians apart along one arc: neighbours near, others far."""
+    return arc_rows(step * np.arange(n), plane)
+
+
+def shuffled(rows, seed):
+    return rows[np.random.default_rng(seed).permutation(rows.shape[0])]
+
+
+# epsilon 1 - cos(1.5 step): a row is within reach of its chain neighbours
+# and out of reach of the rows two steps away (a~b, b~c, a !~ c)
+CHAIN_STEP = 0.1
+CHAIN_EPS = 1.0 - np.cos(1.5 * CHAIN_STEP)
+
+BLOCK_SHAPES = {
+    # one block of 6 rows holding two chains, out of row order
+    "chain-in-block": np.vstack([chain(3, CHAIN_STEP, 0)[[2, 0, 1]],
+                                 chain(3, CHAIN_STEP, 1)[[1, 2, 0]]]),
+    # a 300-row chain in row order crosses every block edge
+    "chain-across-edges": chain(300, 0.01),
+    # the same chain shuffled: covering rows come from earlier blocks
+    "shuffled-chain": shuffled(chain(300, 0.01), 1),
+    # exact duplicates of four directions, interleaved
+    "duplicates": arc_rows(np.tile([0.0, 1.5, 3.0, 4.5], 70)),
+    # 300 directions 1.2 degrees apart and nothing else within reach: every
+    # row of every block is isolated at the chain epsilon
+    "isolated": arc_rows(np.radians(1.2) * np.arange(300)),
+}
+SHAPE_EPSILONS = {
+    "chain-in-block": (CHAIN_EPS,),
+    "chain-across-edges": (1.0 - np.cos(0.015), 1.0 - np.cos(0.035)),
+    "shuffled-chain": (1.0 - np.cos(0.015), 1.0 - np.cos(0.035)),
+    "duplicates": (0.025, CHAIN_EPS),
+    "isolated": (1.0 - np.cos(np.radians(0.6)),),
+}
+
+
+class TestCountUniqueBlockShapes:
+    """Chains, duplicates and isolated rows at block sizes 1, 7 and 256."""
+
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    @pytest.mark.parametrize("shape", sorted(BLOCK_SHAPES))
+    def test_matches_oracle(self, shape, block):
+        protos = normalize_rows(BLOCK_SHAPES[shape])
+        rows = protos.rows.tolist()
+        with mock.patch.object(collapse, "_ROW_BLOCK", block):
+            for eps in SHAPE_EPSILONS[shape]:
+                report = count_unique(protos, eps)
+                assignment, reps = oracles.oracle_greedy_partition(rows, eps)
+                assert report.representative_indices == reps
+                assert report.partition_sizes == \
+                    np.bincount(assignment, minlength=len(reps)).tolist()
+
+    def test_chain_in_block_takes_first_fit(self):
+        # rows c, a, b of one chain: c and a are out of reach of each other,
+        # so both open, and b joins c, the lower representative
+        protos = normalize_rows(chain(3, CHAIN_STEP)[[2, 0, 1]])
+        report = count_unique(protos, CHAIN_EPS)
+        assert report.representative_indices == [0, 1]
+        assert report.partition_sizes == [2, 1]
+
+    def test_isolated_rows_each_open(self):
+        protos = normalize_rows(BLOCK_SHAPES["isolated"])
+        report = count_unique(protos, SHAPE_EPSILONS["isolated"][0])
+        assert report.representative_indices == list(range(300))
+
+    def test_duplicates_join_first_copy(self):
+        protos = normalize_rows(BLOCK_SHAPES["duplicates"])
+        report = count_unique(protos, 0.025)
+        assert report.representative_indices == [0, 1, 2, 3]
+        assert report.partition_sizes == [70] * 4
+
+
 class TestEpsilonSweep:
     def test_identical_pair_composition(self):
         v = np.array([0.0, 1.0])
@@ -270,16 +351,60 @@ class TestAngularStatsBlocked:
         budget, chunk = 100_003, 4096  # a ragged last chunk
         with mock.patch.multiple(collapse, _ANGLE_PAIR_BUDGET=budget,
                                  _ANGLE_PAIR_CHUNK=chunk):
-            stats = angular_stats(protos, bins=90, pair_k_cap=32)
+            stats = angular_stats(protos, pair_k_cap=32)
         rng = np.random.default_rng(collapse._ANGLE_SEED)
         i = rng.integers(0, 64, size=budget)
         j = rng.integers(0, 63, size=budget)
         j = np.where(j >= i, j + 1, j)
         dots = np.einsum("ij,ij->i", protos.rows[i], protos.rows[j])
         angles = np.degrees(np.arccos(np.clip(dots, -1.0, 1.0)))
-        counts, _ = np.histogram(angles, bins=90, range=(0.0, 180.0))
+        counts, _ = np.histogram(angles, bins=180, range=(0.0, 180.0))
         assert stats.subsampled
         assert stats.n_pairs_used == budget
         assert np.array_equal(stats.hist_counts, counts)
         assert stats.min_deg == angles.min()
         assert stats.mean_deg == pytest.approx(angles.mean(), rel=1e-12)
+
+
+class TestAngleHistogramEdges:
+    """The 1-degree bins by truncation against np.histogram, bitwise."""
+
+    def check(self, rows):
+        stats = angular_stats(PrototypeMatrix(rows, normalized=True))
+        angles = full_gram_angles(rows)
+        counts, edges = np.histogram(angles, bins=180, range=(0.0, 180.0))
+        assert np.array_equal(stats.hist_counts, counts)
+        assert np.array_equal(stats.hist_edges_deg, edges)
+        assert stats.hist_counts.sum() == angles.size
+        return stats
+
+    def test_zero_ninety_and_one_eighty_degrees(self):
+        e1, e2 = np.eye(2)
+        # pairs: one at 0 degrees, three at 90 (e2 against the others) and
+        # two at 180 (-e1 against both copies of e1)
+        stats = self.check(np.vstack([e1, e1, e2, -e1]))
+        assert stats.hist_counts[0] == 1
+        assert stats.hist_counts[90] == 3
+        assert stats.hist_counts[179] == 2  # 180 degrees is in the last bin
+        assert stats.hist_counts.sum() == 6
+        assert stats.min_deg == 0.0
+
+    def test_angles_on_integer_degree_edges(self):
+        # every pair of these rows is an integer number of degrees apart, so
+        # each computed angle lands on, or within rounding of, a bin edge
+        rows = arc_rows(np.radians(np.arange(0.0, 360.0, 1.0)), d=2)
+        self.check(rows)
+
+    def test_subsampled_edges_match_histogram(self):
+        rows = arc_rows(np.radians(np.arange(0.0, 360.0, 3.0)), d=2)
+        protos = PrototypeMatrix(rows, normalized=True)
+        stats = angular_stats(protos, pair_k_cap=32)
+        rng = np.random.default_rng(collapse._ANGLE_SEED)
+        k = rows.shape[0]
+        i = rng.integers(0, k, size=collapse._ANGLE_PAIR_BUDGET)
+        j = rng.integers(0, k - 1, size=collapse._ANGLE_PAIR_BUDGET)
+        j = np.where(j >= i, j + 1, j)
+        dots = np.einsum("ij,ij->i", rows[i], rows[j])
+        angles = np.degrees(np.arccos(np.clip(dots, -1.0, 1.0)))
+        counts, _ = np.histogram(angles, bins=180, range=(0.0, 180.0))
+        assert np.array_equal(stats.hist_counts, counts)

@@ -6,6 +6,7 @@ from protostream.datagen import DataSpec, make_dataset, make_views
 from protostream.encoder import forward, init_encoder
 from protostream.mixture import GmmConfig, init_mixture, gmm_update
 from protostream.simulate import (
+    KNOWN_KEYS,
     ConfigError,
     SimConfig,
     assign,
@@ -361,6 +362,29 @@ class TestConfigText:
         with pytest.raises(ConfigError) as err:
             sim_config_from_text("sim.epochs=soon\n")
         assert err.value.key == "sim.epochs"
+
+    # values outside a range a dataclass checks; a cross-field check names
+    # the field it bounds (samples per class, tail below head)
+    OUT_OF_RANGE = {
+        "sim.tau_student": "0", "sim.tau_teacher": "0", "sim.ema": "1",
+        "sim.lr": "-1", "sim.grad_clip": "0", "sim.epochs": "-1",
+        "sim.views": "1", "sim.batch": "0", "sim.view_dropout": "1",
+        "data.classes": "0", "data.samples": "3", "data.tail_max": "100",
+        "data.test_fraction": "1", "gmm.beta": "2", "gmm.eta.start": "-0.5",
+        "gmm.eta.end": "1.5", "gmm.resurrect_threshold": "0",
+        "gmm.init_variance": "0",
+    }
+
+    @pytest.mark.parametrize("key", KNOWN_KEYS)
+    def test_every_rejected_value_names_its_key(self, key):
+        # unknown for the two names, unparsable for every number and flag
+        bad = ["bogus"]
+        if key in self.OUT_OF_RANGE:
+            bad.append(self.OUT_OF_RANGE[key])
+        for value in bad:
+            with pytest.raises(ConfigError) as err:
+                sim_config_from_text(f"{key}={value}\n")
+            assert err.value.key == key, value
 
     def test_init_variance_key(self):
         cfg = sim_config_from_text("gmm.init_variance=0.0625\n")
