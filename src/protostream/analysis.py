@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import i0e as bessel_i0e
 
 from .checkpoint import write_csv
 from .collapse import PrototypeMatrix, normalize_rows
@@ -151,6 +150,7 @@ def vmf_kde_angles(points2d: np.ndarray, kappa: float = 20.0,
     """
     if not (math.isfinite(kappa) and kappa > 0.0):
         raise ValueError(f"kappa must be finite and positive, got {kappa}")
+    from scipy.special import i0e  # here, so only export-kde loads scipy
     points2d = np.asarray(points2d, dtype=np.float64)
     lengths = np.hypot(points2d[:, 0], points2d[:, 1])
     keep = lengths > 0.0
@@ -162,7 +162,7 @@ def vmf_kde_angles(points2d: np.ndarray, kappa: float = 20.0,
         raise ValueError("no nonzero points to estimate angles from")
     angles = np.arctan2(pts[:, 1], pts[:, 0])
     grid = np.linspace(-np.pi, np.pi, n_samples)
-    norm = 2.0 * np.pi * float(bessel_i0e(kappa))
+    norm = 2.0 * np.pi * float(i0e(kappa))
     cos_a, sin_a = np.cos(angles), np.sin(angles)
     cos_g, sin_g = np.cos(grid), np.sin(grid)
     density = np.empty(n_samples)

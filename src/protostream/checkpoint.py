@@ -17,8 +17,9 @@ pseudo-counts.  Files of any other version, including version 1 (which also
 stored the parameters), are refused.
 
 ``load_checkpoint`` rejects a zero K or D, non-finite values, non-positive
-counts or counts whose sum overflows, negative second moments, and statistics whose means or variances
-are not finite, naming the offending field's byte offset.
+counts or counts whose sum overflows, negative second moments, and
+statistics whose means, or variances before the floor, are not finite,
+naming the offending field's byte offset.
 ``read_matrix_csv`` checks the header line, then parses the rows with
 numpy's C reader (``np.loadtxt``), whose number syntax and line ends (LF,
 CRLF or a lone CR) define the format.  When that parse fails, or gives the
@@ -149,8 +150,12 @@ def load_checkpoint(path: str | Path) -> MixtureState:
         if not np.isfinite(s_pi.sum()):  # else every weight would be zero
             raise CheckpointError("counts overflow their sum", starts[0])
         weights, means, variances = m_step(stats, GmmConfig.variance_floor)
+        # a mean whose square overflows gives a variance of -inf before the
+        # floor, which would hide it
+        squares = means * means
     for name, arr, at in (("means", means, starts[1]),
-                          ("variances", variances, starts[2])):
+                          ("variances", variances, starts[2]),
+                          ("variances", squares, starts[2])):
         if not np.isfinite(arr).all():
             raise CheckpointError(f"statistics give non-finite {name}", at)
     return MixtureState(weights, means, variances, stats, int(step))

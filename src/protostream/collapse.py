@@ -88,15 +88,22 @@ class AngularStats:
 
 
 def normalize_rows(matrix: np.ndarray | PrototypeMatrix) -> PrototypeMatrix:
-    """Divide every row by its L2 norm; zero rows are rejected by index."""
+    """Divide every row by its L2 norm.
+
+    Zero rows and rows whose norm is not finite (a NaN or infinite entry, or
+    a sum of squares that overflows) are rejected by index: a NaN row would
+    count as its own partition at every epsilon.
+    """
     rows = matrix.rows if isinstance(matrix, PrototypeMatrix) else matrix
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] < 1:
         raise ValueError(f"expected a non-empty 2-d matrix, got shape {rows.shape}")
     norms = np.linalg.norm(rows, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"row {int(zero[0])} has zero norm")
+    bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
+    if bad.size:
+        i = int(bad[0])
+        kind = "zero" if norms[i] == 0.0 else "non-finite"
+        raise ValueError(f"row {i} has {kind} norm")
     return PrototypeMatrix(rows / norms[:, None], normalized=True)
 
 

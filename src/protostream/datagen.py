@@ -77,24 +77,26 @@ def make_dataset(spec: DataSpec, rng: np.random.Generator) -> Dataset:
     sizes = class_sizes(spec)
     centers = rng.standard_normal((spec.n_classes, spec.input_dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-    xs_train, ys_train, xs_test, ys_test = [], [], [], []
-    train_counts = np.zeros(spec.n_classes, dtype=np.int64)
-    for c, size in enumerate(sizes):
+    test_counts = np.array([max(1, int(round(spec.test_fraction * size)))
+                            for size in sizes], dtype=np.int64)
+    train_counts = sizes - test_counts
+    x_train = np.empty((train_counts.sum(), spec.input_dim))
+    x_test = np.empty((test_counts.sum(), spec.input_dim))
+    train_at = test_at = 0
+    for c, (size, n_train) in enumerate(zip(sizes, train_counts)):
         pts = centers[c] + spec.spread * rng.standard_normal((size, spec.input_dim))
-        n_test = max(1, int(round(spec.test_fraction * size)))
-        n_train = size - n_test
-        xs_train.append(pts[:n_train])
-        ys_train.append(np.full(n_train, c, dtype=np.int64))
-        xs_test.append(pts[n_train:])
-        ys_test.append(np.full(n_test, c, dtype=np.int64))
-        train_counts[c] = n_train
+        x_train[train_at:train_at + n_train] = pts[:n_train]
+        x_test[test_at:test_at + size - n_train] = pts[n_train:]
+        train_at += n_train
+        test_at += size - n_train
     buckets = {c: bucket_of(int(train_counts[c]), spec)
                for c in range(spec.n_classes)}
+    labels = np.arange(spec.n_classes, dtype=np.int64)
     return Dataset(
-        x_train=np.vstack(xs_train),
-        y_train=np.concatenate(ys_train),
-        x_test=np.vstack(xs_test),
-        y_test=np.concatenate(ys_test),
+        x_train=x_train,
+        y_train=np.repeat(labels, train_counts),
+        x_test=x_test,
+        y_test=np.repeat(labels, test_counts),
         centers=centers,
         train_counts=train_counts,
         buckets=buckets,

@@ -42,16 +42,17 @@ def init_encoder(input_dim: int, hidden: int, out_dim: int,
 def forward(params: EncoderParams, x: np.ndarray):
     """Map inputs to unit-norm latents; returns (latents, cache for backward)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    z = np.tanh(x @ params.w1)
-    y = z @ params.w2
-    norms = np.linalg.norm(y, axis=1, keepdims=True)
-    h = y / norms
-    return h, (x, z, y, norms, h)
+    z = x @ params.w1
+    np.tanh(z, out=z)
+    h = z @ params.w2
+    norms = np.linalg.norm(h, axis=1, keepdims=True)
+    h /= norms
+    return h, (x, z, norms, h)
 
 
 def backward(params: EncoderParams, cache, d_h: np.ndarray):
     """Gradients of a scalar loss w.r.t. w1 and w2 given dloss/dlatents."""
-    x, z, y, norms, h = cache
+    x, z, norms, h = cache
     # through the normalization: dy = (g - (g.h) h) / |y|
     gh = np.sum(d_h * h, axis=1, keepdims=True)
     d_y = (d_h - gh * h) / norms

@@ -117,7 +117,7 @@ class GmmConfig:
                 "gmm.resurrect_threshold",
                 f"resurrect_threshold must lie in (0, 1], got {self.resurrect_threshold}"
             )
-        if self.init_variance <= 0.0:
+        if not self.init_variance > 0.0:  # NaN fails the comparison too
             raise ConfigError("gmm.init_variance", "init_variance must be positive")
 
     def beta_at(self, step: int) -> float:

@@ -63,9 +63,10 @@ class SimConfig:
     def __post_init__(self):
         if self.regime not in ("joint", "decoupled"):
             raise ConfigError("sim.regime", f"unknown regime {self.regime!r}")
-        if self.tau_student <= 0.0:
+        # the negated comparisons reject NaN as well
+        if not self.tau_student > 0.0:
             raise ConfigError("sim.tau_student", "temperatures must be positive")
-        if self.tau_teacher <= 0.0:
+        if not self.tau_teacher > 0.0:
             raise ConfigError("sim.tau_teacher", "temperatures must be positive")
         if not 0.0 <= self.ema_momentum < 1.0:
             raise ConfigError("sim.ema", "EMA momentum must lie in [0, 1)")
@@ -74,7 +75,6 @@ class SimConfig:
         if self.batch_size < 1:
             raise ConfigError("sim.batch",
                               f"batch size must be at least 1, got {self.batch_size}")
-        # the negated comparisons reject NaN as well
         if not self.grad_clip > 0.0:
             raise ConfigError("sim.grad_clip",
                               f"must be positive, got {self.grad_clip}")

@@ -131,6 +131,28 @@ def finite_diff(fn, params, step=1e-5):
     return grad
 
 
+def oracle_make_dataset(sizes, input_dim, spread, test_fraction, rng):
+    """Class blobs drawn one class at a time and stacked at the end.
+
+    Returns (x_train, y_train, x_test, y_test, centers, train_counts); the
+    first ``1 - test_fraction`` of each class's draws are its training rows.
+    """
+    centers = rng.standard_normal((len(sizes), input_dim))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    xs_train, ys_train, xs_test, ys_test, train_counts = [], [], [], [], []
+    for c, size in enumerate(sizes):
+        pts = centers[c] + spread * rng.standard_normal((size, input_dim))
+        n_test = max(1, int(round(test_fraction * size)))
+        n_train = size - n_test
+        xs_train.append(pts[:n_train])
+        ys_train.append(np.full(n_train, c, dtype=np.int64))
+        xs_test.append(pts[n_train:])
+        ys_test.append(np.full(n_test, c, dtype=np.int64))
+        train_counts.append(n_train)
+    return (np.vstack(xs_train), np.concatenate(ys_train), np.vstack(xs_test),
+            np.concatenate(ys_test), centers, np.array(train_counts, dtype=np.int64))
+
+
 def oracle_greedy_partition(rows, epsilon):
     """Greedy first-fit partition of unit rows, scalar loops.
 

@@ -130,6 +130,16 @@ class TestCheckpointValidation:
             load_checkpoint(path)
         assert err.value.offset == ARRAY_OFFSETS["counts"]
 
+    def test_mean_with_overflowing_square_rejected(self, tmp_path):
+        # K=1, D=1: the mean 1e200 squares to inf, so the variance before
+        # the floor is 1.0 - inf
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(struct.pack("<4sIIIQddd", b"PDGM", 2, 1, 1, 0,
+                                     1.0, 1e200, 1.0))
+        with pytest.raises(CheckpointError, match="non-finite variances") as err:
+            load_checkpoint(path)
+        assert err.value.offset == 24 + 8 + 8
+
     @pytest.mark.parametrize("k, d, offset", [
         pytest.param(0, 3, 8, id="K"),
         pytest.param(4, 0, 12, id="D"),
@@ -245,9 +255,8 @@ class TestCorruptionProperty:
         assert np.all(state.weights >= 0.0)
         assert abs(state.weights.sum() - 1.0) <= 1e-9
         assert np.all(state.variances >= GmmConfig.variance_floor)
-        # as in load_checkpoint: a huge mean may overflow its square, and
-        # the variance is then floored
-        with np.errstate(over="ignore"):
+        # a loaded state's statistics give finite parameters without overflow
+        with np.errstate(over="raise", invalid="raise"):
             weights, means, variances = m_step(stats, GmmConfig.variance_floor)
         assert np.array_equal(state.weights, weights)
         assert np.array_equal(state.means, means)

@@ -33,6 +33,20 @@ data.spread=0.2
 """
 
 
+# criterion 10's toy experiment
+TOY_CONFIG = (
+    "sim.regime=decoupled\nsim.prototypes=8\nsim.latent_dim=8\n"
+    "sim.hidden=6\nsim.epochs=2\nsim.batch=32\n"
+    "data.classes=4\ndata.input_dim=6\ndata.samples=160\n"
+)
+
+
+def python_env():
+    """The environment for a child interpreter that imports this source tree."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
 def write_config(tmp_path, text=BASE_CONFIG):
     path = tmp_path / "experiment.cfg"
     path.write_text(text)
@@ -295,8 +309,7 @@ class TestClusterStream:
 
     def test_log_level_info_prints_splits(self, tmp_path):
         features, _ = cluster_file(tmp_path)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        env = python_env()
 
         def run(*flags):
             argv = [sys.executable, "-m", "protostream", *flags, "cluster-stream",
@@ -361,3 +374,32 @@ class TestDeterminismAcrossCommands:
         for snap_a, snap_b in zip(sorted((a / "snapshots").iterdir()),
                                   sorted((b / "snapshots").iterdir())):
             assert snap_a.read_bytes() == snap_b.read_bytes()
+
+
+class TestNumpyOnly:
+    """Only export-kde needs scipy; the other commands run on numpy alone."""
+
+    def test_import_leaves_scipy_unloaded(self):
+        code = "import sys, protostream, protostream.cli; print('scipy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=python_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        cfg = write_config(tmp_path, TOY_CONFIG)
+        features, _ = cluster_file(tmp_path)
+        protos = tmp_path / "protos.csv"
+        write_matrix_csv(np.random.default_rng(3).standard_normal((16, 6)), protos)
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "from protostream.cli import main; sys.exit(main(sys.argv[1:]))")
+        for argv in (
+            ["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")],
+            ["analyze", "--protos", str(protos), "--out", str(tmp_path / "sweep.csv")],
+            ["cluster-stream", "--features", str(features),
+             "--out", str(tmp_path / "m.ckpt"), "-k", "4", "--epochs", "2"],
+        ):
+            done = subprocess.run([sys.executable, "-c", code, *argv],
+                                  env=python_env(), capture_output=True, text=True,
+                                  timeout=120)
+            assert done.returncode == 0, (argv[0], done.stderr)

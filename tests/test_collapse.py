@@ -41,6 +41,17 @@ class TestNormalizeRows:
         with pytest.raises(ValueError, match="row 1"):
             normalize_rows(mat)
 
+    @pytest.mark.parametrize("bad_row", [
+        pytest.param([np.nan, 1.0], id="nan"),
+        pytest.param([np.inf, 0.0], id="inf"),
+        pytest.param([1e200, 1e200], id="overflowing-norm"),
+    ])
+    def test_non_finite_norm_rejected_by_index(self, bad_row):
+        mat = np.array([[1.0, 0.0], [0.0, 2.0], bad_row, [np.nan, np.nan]])
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="row 2 has non-finite norm"):
+            normalize_rows(mat)
+
 
 class TestCountUnique:
     def test_eps_zero_counts_all(self):

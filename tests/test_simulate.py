@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from protostream.datagen import DataSpec, make_dataset, make_views
+from protostream.datagen import DataSpec, class_sizes, make_dataset, make_views
 from protostream.encoder import forward, init_encoder
 from protostream.mixture import GmmConfig, init_mixture, gmm_update
 from protostream.simulate import (
@@ -279,6 +279,33 @@ class TestPrototypeStepDecoupled:
         assert cost[rows, cols].max() < 0.1
 
 
+class TestDataAndEncoder:
+    @pytest.mark.parametrize("spec", [
+        pytest.param(DataSpec(n_classes=5, input_dim=7, n_samples=503), id="balanced"),
+        pytest.param(DataSpec(mode="longtail", n_classes=12, input_dim=5,
+                              n_samples=900, test_fraction=0.3), id="longtail"),
+    ])
+    def test_make_dataset_matches_per_class_stack(self, spec):
+        got = make_dataset(spec, np.random.default_rng(9))
+        want = oracles.oracle_make_dataset(class_sizes(spec), spec.input_dim,
+                                           spec.spread, spec.test_fraction,
+                                           np.random.default_rng(9))
+        fields = ("x_train", "y_train", "x_test", "y_test", "centers", "train_counts")
+        for name, expected in zip(fields, want):
+            actual = getattr(got, name)
+            assert actual.dtype == expected.dtype, name
+            assert actual.shape == expected.shape, name
+            assert actual.tobytes() == expected.tobytes(), name
+
+    def test_forward_is_normalized_tanh_mlp(self):
+        rng = np.random.default_rng(4)
+        params = init_encoder(6, 9, 5, rng)
+        x = rng.standard_normal((33, 6))
+        y = np.tanh(x @ params.w1) @ params.w2
+        h, _ = forward(params, x)
+        assert h.tobytes() == (y / np.linalg.norm(y, axis=1, keepdims=True)).tobytes()
+
+
 class TestRunExperiment:
     def test_zero_epochs_has_only_init_row(self):
         cfg = tiny_config(epochs=0)
@@ -377,10 +404,12 @@ class TestConfigText:
 
     @pytest.mark.parametrize("key", KNOWN_KEYS)
     def test_every_rejected_value_names_its_key(self, key):
-        # unknown for the two names, unparsable for every number and flag
+        # unknown for the two names, unparsable for every number and flag;
+        # a ranged key also refuses NaN, which an int key cannot parse and a
+        # float key's range check must not let through
         bad = ["bogus"]
         if key in self.OUT_OF_RANGE:
-            bad.append(self.OUT_OF_RANGE[key])
+            bad += [self.OUT_OF_RANGE[key], "nan"]
         for value in bad:
             with pytest.raises(ConfigError) as err:
                 sim_config_from_text(f"{key}={value}\n")
