@@ -64,9 +64,10 @@ def atomic_open(path: str | Path, mode: str = "w"):
     when it raises.  There is no fsync: the aim is a killed process, not
     power loss.  The suffix keeps partial files out of ``*.csv`` and
     ``*.ckpt`` globs; two writers must not share a path, as they would share
-    the temporary file.
+    the temporary file.  Missing parent directories are created.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, mode) as fh:

@@ -20,7 +20,7 @@ import json
 import logging
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,13 @@ from .mixture import (
     gmm_update,
     init_mixture,
 )
-from .simulate import ConfigError, run_experiment, sim_config_from_text, sim_config_to_mapping
+from .simulate import (
+    ConfigError,
+    gmm_config_to_mapping,
+    run_experiment,
+    sim_config_from_text,
+    sim_config_to_mapping,
+)
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -49,7 +55,6 @@ ABLATION_TOGGLES = ("forgetting", "annealing", "resurrect")
 def _write_manifest(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["version"] = __version__
-    path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -152,15 +157,19 @@ def cmd_analyze(args) -> int:
         epsilons = _parse_epsilons(args.epsilons)
         rows = load_matrix(args.protos)
         protos = normalize_rows(rows)
-        reports = epsilon_sweep(protos, epsilons)
+        # both calls only read the rows and numpy releases the GIL in their
+        # GEMMs and ufuncs, so the angles run on a second thread
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            angles = pool.submit(angular_stats, protos) if protos.k >= 2 else None
+            reports = epsilon_sweep(protos, epsilons)
+            stats = angles.result() if angles is not None else None
         write_csv(out_csv, ("epsilon", "unique_count", "unique_fraction"),
                   ((r.epsilon, r.unique_count, r.unique_fraction) for r in reports))
         outputs = [out_csv]
         info["epsilons"] = epsilons
         info["prototype_count"] = protos.k
         info["unique_counts"] = {str(r.epsilon): r.unique_count for r in reports}
-        if protos.k >= 2:
-            stats = angular_stats(protos)
+        if stats is not None:
             angles_csv = out_csv.with_name(out_csv.stem + "_angles.csv")
             edges = stats.hist_edges_deg
             write_csv(angles_csv, ("angle_deg", "count"),
@@ -218,6 +227,7 @@ def cmd_cluster_stream(args) -> int:
             rng_seed=args.seed or 0,
             init_variance=args.init_variance,
         )
+        info["config"] = gmm_config_to_mapping(config)
         rng = np.random.default_rng([config.rng_seed, 1])
         state = init_mixture(args.components, dim, init_points=features,
                              config=config, rng=rng)

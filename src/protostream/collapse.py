@@ -10,7 +10,7 @@ early representative take a row that would have covered others, so four
 rows can give M=2 at one epsilon and M=3 at a larger one.
 
 At epsilon 0 every prototype counts as unique and no dot product is taken.
-For epsilon > 0 the rows are scanned in blocks of ``_ROW_BLOCK``: per
+For epsilon > 0 the rows are scanned in blocks of ``_COUNT_BLOCK``: per
 block, one GEMM against the representatives found so far (kept in a
 preallocated K x D buffer) and one Gram matrix of the block's unplaced
 rows.  A row is covered iff 1 - (its largest dot) < epsilon, which is
@@ -20,9 +20,16 @@ neighbour in the block opens its own partition without a Python step; only
 linked rows go through the sequential first-fit loop.  The cost is a few
 BLAS calls per block and the temporaries are O(block * K).
 ``angular_stats`` accumulates its 1-degree histogram, minimum and sum over
-the same row blocks instead of holding all K(K-1)/2 angles at once; an
-angle's bin is its integer part (180 goes to the last bin), which is
-``np.histogram``'s bin for these edges.
+blocks of ``_ROW_BLOCK`` rows instead of holding all K(K-1)/2 angles at
+once; an angle's bin is its integer part (180 goes to the last bin), which
+is ``np.histogram``'s bin for these edges.
+
+The two block sizes differ on purpose.  The counts do not depend on
+``_COUNT_BLOCK``, so it is kept small (64 rows): ``analyze`` runs the
+epsilon sweep and the angle statistics on two threads at once, and two
+256-row temporaries of K floats each would add about 10 MB to its peak at
+K=4096.  ``_ROW_BLOCK`` fixes the order in which the angles are summed, so
+changing it moves ``mean_deg`` in its last bits.
 
 Nothing here writes files: the ``analyze`` command passes the reports and
 the histogram to ``checkpoint.write_csv``.
@@ -41,8 +48,10 @@ from .mixture import StateError
 ANGLE_PAIR_K_CAP = 10_000
 _ANGLE_PAIR_BUDGET = 2_000_000
 _ANGLE_SEED = 1234
-# rows per block in count_unique and angular_stats, pairs per chunk of the
-# subsampled angles: each bounds a temporary to block * K or chunk * D floats
+# rows per block in count_unique and in angular_stats (see the module
+# docstring), pairs per chunk of the subsampled angles: each bounds a
+# temporary to block * K or chunk * D floats
+_COUNT_BLOCK = 64
 _ROW_BLOCK = 256
 _ANGLE_PAIR_CHUNK = 1 << 15
 # the angle histogram has one bin per degree; its bin indices are built for
@@ -129,8 +138,8 @@ def count_unique(protos: PrototypeMatrix, epsilon: float) -> CollapseReport:
     else:
         # for epsilon > 0 an overshoot v.c > 1 merges with or without a clip
         reps = np.empty_like(rows)
-        for start in range(0, k, _ROW_BLOCK):
-            block = rows[start:start + _ROW_BLOCK]
+        for start in range(0, k, _COUNT_BLOCK):
+            block = rows[start:start + _COUNT_BLOCK]
             owner = np.full(block.shape[0], -1)
             m = len(rep_indices)
             if m:

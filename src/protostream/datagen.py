@@ -8,6 +8,7 @@ and tail by their training counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,10 @@ class DataSpec:
             raise ConfigError("data.classes", "need at least one class")
         if self.n_samples < self.n_classes:
             raise ConfigError("data.samples", "need at least one sample per class")
+        # a NaN exponent would give every long-tail class the 3-sample floor
+        for key, v in (("data.spread", self.spread), ("data.exponent", self.exponent)):
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ConfigError(key, f"must be finite and non-negative, got {v}")
         if self.tail_max >= self.head_min:
             raise ConfigError("data.tail_max", "tail_max must be below head_min")
         if not 0.0 < self.test_fraction < 1.0:

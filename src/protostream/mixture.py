@@ -106,8 +106,10 @@ class GmmConfig:
 
     def __post_init__(self):
         # errors name the experiment-config key of the field at fault
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError("gmm.beta", f"beta must lie in [0, 1], got {self.beta}")
+        for name, key in (("beta", "gmm.beta"), ("anneal_start", "gmm.anneal_start")):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ConfigError(key, f"{name} must lie in [0, 1], got {v}")
         for name, key in (("eta_start", "gmm.eta.start"), ("eta_end", "gmm.eta.end")):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -84,6 +84,9 @@ class SimConfig:
         if self.epochs < 0:
             raise ConfigError("sim.epochs",
                               f"must not be negative, got {self.epochs}")
+        if not (math.isfinite(self.view_noise) and self.view_noise >= 0.0):
+            raise ConfigError("sim.view_noise",
+                              f"must be finite and non-negative, got {self.view_noise}")
         if not 0.0 <= self.view_dropout < 1.0:
             raise ConfigError("sim.view_dropout",
                               f"must lie in [0, 1), got {self.view_dropout}")
@@ -205,7 +208,8 @@ def student_step(state: SimState, views: np.ndarray,
     renormalized to unit rows after the step, matching the weight-normalized
     prototype heads this regime models; without that projection a norm race
     crowns one winner per mode and the collapse dynamics stall.  In the
-    decoupled regime the prototype matrix is read but never written.
+    decoupled regime the prototype matrix is read but never written.  A
+    gradient whose norm is not finite raises ``ValueError`` naming the step.
     """
     cfg = state.config
     total_loss, d_w1, d_w2, d_protos = loss_and_grads(state, views, teacher_probs)
@@ -213,6 +217,8 @@ def student_step(state: SimState, views: np.ndarray,
         return replace(state, step=state.step + 1), total_loss
     grads = [d_w1, d_w2] + ([d_protos] if d_protos is not None else [])
     norm = _global_norm(grads)
+    if not math.isfinite(norm):
+        raise ValueError(f"step {state.step}: gradient norm is {norm}")
     if norm > cfg.grad_clip:
         scale = cfg.grad_clip / norm
         for g in grads:
@@ -346,9 +352,7 @@ def run_experiment(config: SimConfig,
     result = ExperimentResult(telemetry=[], state=state, dataset=dataset)
     if out_dir is not None:
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         snapshot_dir = out_dir / "snapshots"
-        snapshot_dir.mkdir(exist_ok=True)
         result.telemetry_path = out_dir / "telemetry.csv"
 
     def log_epoch(epoch, loss):
@@ -475,13 +479,18 @@ def sim_config_from_text(text: str) -> SimConfig:
     return build(_SIM_KEYS, SimConfig, {"data": data, "gmm": gmm})
 
 
+def _table_mapping(table: dict, obj) -> dict:
+    return {key: str(getattr(obj, name)) for key, (name, _) in table.items()}
+
+
+def gmm_config_to_mapping(config: GmmConfig) -> dict:
+    """Every ``gmm.*`` key of a mixture config, as ``sim_config_to_mapping``."""
+    return dict(sorted(_table_mapping(_GMM_KEYS, config).items()))
+
+
 def sim_config_to_mapping(config: SimConfig) -> dict:
     """Flat snapshot of every known key, for manifests and bit-exact diffing."""
-    out = {}
-    for key, (name, typ) in _SIM_KEYS.items():
-        out[key] = str(getattr(config, name))
-    for key, (name, typ) in _DATA_KEYS.items():
-        out[key] = str(getattr(config.data, name))
-    for key, (name, typ) in _GMM_KEYS.items():
-        out[key] = str(getattr(config.gmm, name))
+    out = {**_table_mapping(_SIM_KEYS, config),
+           **_table_mapping(_DATA_KEYS, config.data),
+           **_table_mapping(_GMM_KEYS, config.gmm)}
     return dict(sorted(out.items()))

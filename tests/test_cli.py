@@ -13,6 +13,9 @@ from protostream.checkpoint import (
     load_checkpoint, read_matrix_csv, write_csv, write_matrix_csv,
 )
 from protostream.cli import main
+from protostream.collapse import (
+    DEFAULT_EPSILON_GRID, angular_stats, epsilon_sweep, normalize_rows,
+)
 from protostream.datagen import shuffled_batches
 from protostream.mixture import GmmConfig, gmm_update, init_mixture, log_likelihood
 
@@ -174,6 +177,47 @@ class TestAnalyze:
         assert manifest["status"] == "error"
         assert "mean_angle_deg" not in manifest
 
+    def test_missing_output_directory_created(self, tmp_path):
+        protos = tmp_path / "protos.csv"
+        write_matrix_csv(np.eye(3), protos)
+        out = tmp_path / "new" / "dir" / "sweep.csv"
+        code = main(["analyze", "--protos", str(protos), "--out", str(out)])
+        assert code == 0
+        assert sorted(p.name for p in out.parent.iterdir()) == [
+            "sweep.csv", "sweep.csv.manifest.json", "sweep_angles.csv"]
+
+    def test_concurrent_angles_match_sequential_calls(self, tmp_path):
+        # several row blocks of both count_unique and angular_stats
+        rng = np.random.default_rng(4)
+        base = rng.standard_normal((40, 6))
+        rows = base[rng.integers(0, 40, size=700)]
+        rows += 0.05 * rng.standard_normal(rows.shape)
+        protos = tmp_path / "protos.csv"
+        write_matrix_csv(rows, protos)
+        out = tmp_path / "sweep.csv"
+        assert main(["analyze", "--protos", str(protos), "--out", str(out)]) == 0
+
+        normalized = normalize_rows(read_matrix_csv(protos))
+        reports = epsilon_sweep(normalized, DEFAULT_EPSILON_GRID)
+        stats = angular_stats(normalized)
+        edges = stats.hist_edges_deg
+        want = tmp_path / "want" / "sweep.csv"
+        want.parent.mkdir()
+        write_csv(want, ("epsilon", "unique_count", "unique_fraction"),
+                  ((r.epsilon, r.unique_count, r.unique_fraction) for r in reports))
+        write_csv(want.parent / "sweep_angles.csv", ("angle_deg", "count"),
+                  zip(0.5 * (edges[:-1] + edges[1:]), stats.hist_counts))
+        for name in ("sweep.csv", "sweep_angles.csv"):
+            assert (out.parent / name).read_bytes() == \
+                (want.parent / name).read_bytes(), name
+        manifest = json.loads((out.parent / "sweep.csv.manifest.json").read_text())
+        assert manifest["unique_counts"] == {
+            str(r.epsilon): r.unique_count for r in reports}
+        assert manifest["min_angle_deg"] == stats.min_deg
+        assert manifest["mean_angle_deg"] == stats.mean_deg
+        assert manifest["pairs_used"] == stats.n_pairs_used == 700 * 699 // 2
+        assert manifest["pairs_subsampled"] is False
+
     def test_corrupt_magic_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"PDGX" + b"\x00" * 100)
@@ -256,6 +300,24 @@ class TestClusterStream:
         first = float(loglik[1].split(",")[1])
         last = float(loglik[-1].split(",")[1])
         assert last > first
+
+    def test_manifest_records_mixture_config(self, tmp_path):
+        features, _ = cluster_file(tmp_path, n=40)
+        out = tmp_path / "m.ckpt"
+        code = main(["cluster-stream", "--features", str(features), "--out", str(out),
+                     "-k", "3", "--batch-size", "16", "--epochs", "2",
+                     "--eta-start", "0.2", "--eta-end", "0.7", "--beta", "0.6",
+                     "--resurrect-threshold", "0.05", "--init-variance", "0.25",
+                     "--no-annealing", "--no-forgetting"])
+        assert code == 0
+        manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
+        assert manifest["config"] == {
+            "gmm.annealing": "False", "gmm.beta": "0.6", "gmm.eta.end": "0.7",
+            "gmm.eta.start": "0.2", "gmm.forgetting": "False",
+            "gmm.init_variance": "0.25", "gmm.resurrect": "True",
+            "gmm.resurrect_threshold": "0.05", "gmm.total_steps": "6",
+            "gmm.anneal_start": str(GmmConfig.anneal_start),
+        }
 
     def test_empty_file_exit_2(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -156,14 +156,14 @@ class TestCountUniqueBlocked:
     @settings(max_examples=25)
     @given(k=st.integers(1, 700), d=st.integers(2, 5), n_base=st.integers(1, 40),
            noise=st.sampled_from([0.0, 1e-3, 0.05, 0.3]),
-           block=st.sampled_from([1, 7, 64, collapse._ROW_BLOCK]),
+           block=st.sampled_from([1, 7, collapse._COUNT_BLOCK, 256]),
            seed=st.integers(0, 2**32 - 1))
-    @example(k=700, d=3, n_base=40, noise=0.05, block=collapse._ROW_BLOCK, seed=0)
-    @example(k=700, d=3, n_base=5, noise=0.0, block=collapse._ROW_BLOCK, seed=1)
+    @example(k=700, d=3, n_base=40, noise=0.05, block=collapse._COUNT_BLOCK, seed=0)
+    @example(k=700, d=3, n_base=5, noise=0.0, block=collapse._COUNT_BLOCK, seed=1)
     def test_report_matches_oracle(self, k, d, n_base, noise, block, seed):
         protos = clustered_rows(seed, k, d, n_base, noise)
         rows = protos.rows.tolist()
-        with mock.patch.object(collapse, "_ROW_BLOCK", block):
+        with mock.patch.object(collapse, "_COUNT_BLOCK", block):
             for eps in DEFAULT_EPSILON_GRID:
                 report = count_unique(protos, eps)
                 assignment, reps = oracles.oracle_greedy_partition(rows, eps)
@@ -221,14 +221,14 @@ SHAPE_EPSILONS = {
 
 
 class TestCountUniqueBlockShapes:
-    """Chains, duplicates and isolated rows at block sizes 1, 7 and 256."""
+    """Chains, duplicates and isolated rows at block sizes 1, 7, the default and 256."""
 
-    @pytest.mark.parametrize("block", [1, 7, 256])
+    @pytest.mark.parametrize("block", [1, 7, collapse._COUNT_BLOCK, 256])
     @pytest.mark.parametrize("shape", sorted(BLOCK_SHAPES))
     def test_matches_oracle(self, shape, block):
         protos = normalize_rows(BLOCK_SHAPES[shape])
         rows = protos.rows.tolist()
-        with mock.patch.object(collapse, "_ROW_BLOCK", block):
+        with mock.patch.object(collapse, "_COUNT_BLOCK", block):
             for eps in SHAPE_EPSILONS[shape]:
                 report = count_unique(protos, eps)
                 assignment, reps = oracles.oracle_greedy_partition(rows, eps)

@@ -172,6 +172,17 @@ class TestStudentStep:
         delta = np.linalg.norm(state.student.w1 - new_state.student.w1)
         assert delta <= 1e-8
 
+    @pytest.mark.parametrize("regime", ["joint", "decoupled"])
+    def test_non_finite_gradient_norm_names_step(self, regime):
+        # a NaN input makes every gradient NaN; clipping would scale by NaN
+        state, dataset = build_state(tiny_config(regime=regime))
+        state.step = 5
+        views = make_views(dataset.x_train[:8], 2, 0.1, 0.0,
+                           np.random.default_rng(3))
+        views[0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="step 5: gradient norm is nan"):
+            student_step(state, views)
+
 
 class TestTeacherStep:
     def test_momentum_zero_copies_student(self):
@@ -399,7 +410,8 @@ class TestConfigText:
         "data.classes": "0", "data.samples": "3", "data.tail_max": "100",
         "data.test_fraction": "1", "gmm.beta": "2", "gmm.eta.start": "-0.5",
         "gmm.eta.end": "1.5", "gmm.resurrect_threshold": "0",
-        "gmm.init_variance": "0",
+        "gmm.init_variance": "0", "data.spread": "-0.1", "data.exponent": "-1",
+        "sim.view_noise": "-0.1", "gmm.anneal_start": "1.5",
     }
 
     @pytest.mark.parametrize("key", KNOWN_KEYS)
@@ -414,6 +426,12 @@ class TestConfigText:
             with pytest.raises(ConfigError) as err:
                 sim_config_from_text(f"{key}={value}\n")
             assert err.value.key == key, value
+
+    @pytest.mark.parametrize("key", ["data.spread", "data.exponent", "sim.view_noise"])
+    def test_infinite_scale_rejected(self, key):
+        with pytest.raises(ConfigError) as err:
+            sim_config_from_text(f"{key}=inf\n")
+        assert err.value.key == key
 
     def test_init_variance_key(self):
         cfg = sim_config_from_text("gmm.init_variance=0.0625\n")
