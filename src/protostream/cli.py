@@ -209,9 +209,10 @@ def cmd_cluster_stream(args) -> int:
             "batch_size": args.batch_size, "epochs": args.epochs}
 
     def body():
-        if args.batch_size < 1:
-            raise ConfigError("--batch-size",
-                              f"must be at least 1, got {args.batch_size}")
+        for flag, value, low in (("--batch-size", args.batch_size, 1),
+                                 ("--epochs", args.epochs, 0)):
+            if value < low:
+                raise ConfigError(flag, f"must be at least {low}, got {value}")
         features = load_matrix(args.features)
         n, dim = features.shape
         batches_per_epoch = max(1, -(-n // args.batch_size))

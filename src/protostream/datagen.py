@@ -8,43 +8,35 @@ and tail by their training counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mixture import ConfigError
+from .mixture import ConfigError, check_settings, setting
 
 
 @dataclass
 class DataSpec:
-    mode: str = "balanced"  # "balanced" or "longtail"
-    n_classes: int = 8
-    input_dim: int = 32
-    n_samples: int = 2048
-    spread: float = 0.25
-    exponent: float = 1.5
-    head_min: int = 100  # head classes have more than this many train samples
-    tail_max: int = 20   # tail classes have at most this many train samples
-    test_fraction: float = 0.2
+    mode: str = setting("balanced", "data.mode", ("balanced", "longtail"))
+    n_classes: int = setting(8, "data.classes", "[1, inf)")
+    input_dim: int = setting(32, "data.input_dim", "[1, inf)")
+    n_samples: int = setting(2048, "data.samples")
+    spread: float = setting(0.25, "data.spread", "[0, inf)")
+    # a NaN exponent would give every long-tail class the 3-sample floor
+    exponent: float = setting(1.5, "data.exponent", "[0, inf)")
+    # head classes have more than head_min train samples, tail classes at
+    # most tail_max
+    head_min: int = setting(100, "data.head_min")
+    tail_max: int = setting(20, "data.tail_max")
+    test_fraction: float = setting(0.2, "data.test_fraction", "(0, 1)")
 
     def __post_init__(self):
-        # errors name the experiment-config key of the field at fault; a
-        # cross-field check names the field it bounds
-        if self.mode not in ("balanced", "longtail"):
-            raise ConfigError("data.mode", f"unknown data mode {self.mode!r}")
-        if self.n_classes < 1:
-            raise ConfigError("data.classes", "need at least one class")
+        check_settings(self)
+        # a cross-field check names the field it bounds
         if self.n_samples < self.n_classes:
             raise ConfigError("data.samples", "need at least one sample per class")
-        # a NaN exponent would give every long-tail class the 3-sample floor
-        for key, v in (("data.spread", self.spread), ("data.exponent", self.exponent)):
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ConfigError(key, f"must be finite and non-negative, got {v}")
         if self.tail_max >= self.head_min:
             raise ConfigError("data.tail_max", "tail_max must be below head_min")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("data.test_fraction", "test_fraction must lie in (0, 1)")
 
 
 @dataclass

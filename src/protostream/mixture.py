@@ -30,7 +30,7 @@ Arrays are float64 throughout.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -53,6 +53,33 @@ class ConfigError(ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(f"config key {key!r}: {message}")
         self.key = key
+
+
+def setting(default, key: str, bounds: str | tuple | None = None):
+    """A config field that declares its experiment-config key and its bounds.
+
+    ``bounds`` is an interval such as ``"[0, 1)"`` or ``"(0, inf]"``, or a
+    tuple of the allowed strings; ``check_settings`` enforces it.
+    """
+    return field(default=default, metadata={"key": key, "bounds": bounds})
+
+
+def check_settings(config) -> None:
+    """Raise ``ConfigError`` naming the first field outside its bounds.
+
+    Every comparison is one that NaN fails, and an open ``inf`` end refuses
+    inf.
+    """
+    for f in fields(config):
+        bounds, v = f.metadata.get("bounds"), getattr(config, f.name)
+        if isinstance(bounds, tuple) and v not in bounds:
+            raise ConfigError(f.metadata["key"],
+                              f"must be one of {', '.join(bounds)}, got {v!r}")
+        if isinstance(bounds, str):
+            lo, hi = (float(end) for end in bounds[1:-1].split(","))
+            if not ((lo <= v if bounds[0] == "[" else lo < v)
+                    and (v <= hi if bounds[-1] == "]" else v < hi)):
+                raise ConfigError(f.metadata["key"], f"must lie in {bounds}, got {v!r}")
 
 
 class StateError(RuntimeError):
@@ -89,38 +116,23 @@ class GmmConfig:
 
     variance_floor: ClassVar[float] = 1e-6
 
-    total_steps: int = 1000
-    beta: float = 1.0
-    anneal_start: float = 0.5
-    eta_start: float = 0.1
-    eta_end: float = 0.5
-    resurrect_threshold: float = 0.3
-    responsibility_forgetting: bool = True
-    annealing: bool = True
-    resurrect: bool = True
+    total_steps: int = setting(1000, "gmm.total_steps", "[0, inf)")
+    beta: float = setting(1.0, "gmm.beta", "[0, 1]")
+    anneal_start: float = setting(0.5, "gmm.anneal_start", "[0, 1]")
+    eta_start: float = setting(0.1, "gmm.eta.start", "[0, 1]")
+    eta_end: float = setting(0.5, "gmm.eta.end", "[0, 1]")
+    resurrect_threshold: float = setting(0.3, "gmm.resurrect_threshold", "(0, 1]")
+    responsibility_forgetting: bool = setting(True, "gmm.forgetting")
+    annealing: bool = setting(True, "gmm.annealing")
+    resurrect: bool = setting(True, "gmm.resurrect")
     rng_seed: int = 0
     # unit variances blur all structure when the data lives on a much smaller
     # scale (e.g. 1/D per coordinate for unit-norm vectors), which starves all
     # but a couple of components; match this to the data scale in that case
-    init_variance: float = 1.0
+    init_variance: float = setting(1.0, "gmm.init_variance", "(0, inf]")
 
     def __post_init__(self):
-        # errors name the experiment-config key of the field at fault
-        for name, key in (("beta", "gmm.beta"), ("anneal_start", "gmm.anneal_start")):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(key, f"{name} must lie in [0, 1], got {v}")
-        for name, key in (("eta_start", "gmm.eta.start"), ("eta_end", "gmm.eta.end")):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(key, f"{name} must lie in [0, 1], got {v}")
-        if not 0.0 < self.resurrect_threshold <= 1.0:
-            raise ConfigError(
-                "gmm.resurrect_threshold",
-                f"resurrect_threshold must lie in (0, 1], got {self.resurrect_threshold}"
-            )
-        if not self.init_variance > 0.0:  # NaN fails the comparison too
-            raise ConfigError("gmm.init_variance", "init_variance must be positive")
+        check_settings(self)
 
     def beta_at(self, step: int) -> float:
         if self.annealing:

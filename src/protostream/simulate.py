@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,10 @@ from .mixture import (
     ConfigError,
     GmmConfig,
     MixtureState,
+    check_settings,
     gmm_update,
     init_mixture,
+    setting,
     spread_unit_vectors,
 )
 
@@ -42,54 +44,26 @@ TELEMETRY_HEADER = ("epoch", "loss",
 
 @dataclass
 class SimConfig:
-    regime: str = "decoupled"  # "joint" or "decoupled"
-    n_prototypes: int = 64
-    latent_dim: int = 16
-    hidden: int = 32
-    tau_student: float = 0.1
-    tau_teacher: float = 0.04
-    ema_momentum: float = 0.99
-    learning_rate: float = 0.5
-    grad_clip: float = 10.0
-    epochs: int = 50
-    views: int = 2
-    batch_size: int = 128
-    view_noise: float = 0.1
-    view_dropout: float = 0.1
-    seed: int = 0
+    regime: str = setting("decoupled", "sim.regime", ("joint", "decoupled"))
+    n_prototypes: int = setting(64, "sim.prototypes", "[1, inf)")
+    latent_dim: int = setting(16, "sim.latent_dim", "[1, inf)")
+    hidden: int = setting(32, "sim.hidden", "[1, inf)")
+    tau_student: float = setting(0.1, "sim.tau_student", "(0, inf]")
+    tau_teacher: float = setting(0.04, "sim.tau_teacher", "(0, inf]")
+    ema_momentum: float = setting(0.99, "sim.ema", "[0, 1)")
+    learning_rate: float = setting(0.5, "sim.lr", "[0, inf]")
+    grad_clip: float = setting(10.0, "sim.grad_clip", "(0, inf]")
+    epochs: int = setting(50, "sim.epochs", "[0, inf)")
+    views: int = setting(2, "sim.views", "[2, inf)")
+    batch_size: int = setting(128, "sim.batch", "[1, inf)")
+    view_noise: float = setting(0.1, "sim.view_noise", "[0, inf)")
+    view_dropout: float = setting(0.1, "sim.view_dropout", "[0, 1)")
+    seed: int = setting(0, "sim.seed", "[0, inf)")
     data: DataSpec = field(default_factory=DataSpec)
     gmm: GmmConfig = field(default_factory=lambda: GmmConfig(total_steps=0))
 
     def __post_init__(self):
-        if self.regime not in ("joint", "decoupled"):
-            raise ConfigError("sim.regime", f"unknown regime {self.regime!r}")
-        # the negated comparisons reject NaN as well
-        if not self.tau_student > 0.0:
-            raise ConfigError("sim.tau_student", "temperatures must be positive")
-        if not self.tau_teacher > 0.0:
-            raise ConfigError("sim.tau_teacher", "temperatures must be positive")
-        if not 0.0 <= self.ema_momentum < 1.0:
-            raise ConfigError("sim.ema", "EMA momentum must lie in [0, 1)")
-        if self.views < 2:
-            raise ConfigError("sim.views", "need at least two views")
-        if self.batch_size < 1:
-            raise ConfigError("sim.batch",
-                              f"batch size must be at least 1, got {self.batch_size}")
-        if not self.grad_clip > 0.0:
-            raise ConfigError("sim.grad_clip",
-                              f"must be positive, got {self.grad_clip}")
-        if not self.learning_rate >= 0.0:
-            raise ConfigError("sim.lr",
-                              f"must not be negative, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ConfigError("sim.epochs",
-                              f"must not be negative, got {self.epochs}")
-        if not (math.isfinite(self.view_noise) and self.view_noise >= 0.0):
-            raise ConfigError("sim.view_noise",
-                              f"must be finite and non-negative, got {self.view_noise}")
-        if not 0.0 <= self.view_dropout < 1.0:
-            raise ConfigError("sim.view_dropout",
-                              f"must lie in [0, 1), got {self.view_dropout}")
+        check_settings(self)
 
 
 @dataclass
@@ -388,50 +362,12 @@ def run_experiment(config: SimConfig,
 
 # --- flat key-value experiment configuration -------------------------------
 
-_SIM_KEYS = {
-    "sim.regime": ("regime", str),
-    "sim.prototypes": ("n_prototypes", int),
-    "sim.latent_dim": ("latent_dim", int),
-    "sim.hidden": ("hidden", int),
-    "sim.tau_student": ("tau_student", float),
-    "sim.tau_teacher": ("tau_teacher", float),
-    "sim.ema": ("ema_momentum", float),
-    "sim.lr": ("learning_rate", float),
-    "sim.grad_clip": ("grad_clip", float),
-    "sim.epochs": ("epochs", int),
-    "sim.views": ("views", int),
-    "sim.batch": ("batch_size", int),
-    "sim.view_noise": ("view_noise", float),
-    "sim.view_dropout": ("view_dropout", float),
-    "sim.seed": ("seed", int),
-}
+def _keyed_fields(cls) -> list:
+    return [f for f in fields(cls) if "key" in f.metadata]
 
-_DATA_KEYS = {
-    "data.mode": ("mode", str),
-    "data.classes": ("n_classes", int),
-    "data.input_dim": ("input_dim", int),
-    "data.samples": ("n_samples", int),
-    "data.spread": ("spread", float),
-    "data.exponent": ("exponent", float),
-    "data.head_min": ("head_min", int),
-    "data.tail_max": ("tail_max", int),
-    "data.test_fraction": ("test_fraction", float),
-}
 
-_GMM_KEYS = {
-    "gmm.beta": ("beta", float),
-    "gmm.anneal_start": ("anneal_start", float),
-    "gmm.eta.start": ("eta_start", float),
-    "gmm.eta.end": ("eta_end", float),
-    "gmm.resurrect_threshold": ("resurrect_threshold", float),
-    "gmm.total_steps": ("total_steps", int),
-    "gmm.init_variance": ("init_variance", float),
-    "gmm.forgetting": ("responsibility_forgetting", bool),
-    "gmm.annealing": ("annealing", bool),
-    "gmm.resurrect": ("resurrect", bool),
-}
-
-KNOWN_KEYS = sorted(set(_SIM_KEYS) | set(_DATA_KEYS) | set(_GMM_KEYS))
+KNOWN_KEYS = sorted(f.metadata["key"] for cls in (SimConfig, DataSpec, GmmConfig)
+                    for f in _keyed_fields(cls))
 
 
 def _parse_bool(text: str) -> bool:
@@ -441,6 +377,10 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+# field annotations are strings under ``from __future__ import annotations``
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 
 
 def parse_config_mapping(text: str) -> dict:
@@ -462,35 +402,31 @@ def parse_config_mapping(text: str) -> dict:
 def sim_config_from_text(text: str) -> SimConfig:
     mapping = parse_config_mapping(text)
 
-    def build(table, cls, defaults):
-        kwargs = dict(defaults)
-        for key, raw in mapping.items():
-            if key not in table:
+    def build(cls, **kwargs):
+        for f in _keyed_fields(cls):
+            key = f.metadata["key"]
+            if key not in mapping:
                 continue
-            name, typ = table[key]
             try:
-                kwargs[name] = _parse_bool(raw) if typ is bool else typ(raw)
+                kwargs[f.name] = _PARSERS[f.type](mapping[key])
             except ValueError as err:
                 raise ConfigError(key, str(err)) from None
         return cls(**kwargs)
 
-    data = build(_DATA_KEYS, DataSpec, {})
-    gmm = build(_GMM_KEYS, GmmConfig, {"total_steps": 0})
-    return build(_SIM_KEYS, SimConfig, {"data": data, "gmm": gmm})
+    return build(SimConfig, data=build(DataSpec), gmm=build(GmmConfig, total_steps=0))
 
 
-def _table_mapping(table: dict, obj) -> dict:
-    return {key: str(getattr(obj, name)) for key, (name, _) in table.items()}
+def _keyed_mapping(obj) -> dict:
+    return {f.metadata["key"]: str(getattr(obj, f.name)) for f in _keyed_fields(obj)}
 
 
 def gmm_config_to_mapping(config: GmmConfig) -> dict:
     """Every ``gmm.*`` key of a mixture config, as ``sim_config_to_mapping``."""
-    return dict(sorted(_table_mapping(_GMM_KEYS, config).items()))
+    return dict(sorted(_keyed_mapping(config).items()))
 
 
 def sim_config_to_mapping(config: SimConfig) -> dict:
     """Flat snapshot of every known key, for manifests and bit-exact diffing."""
-    out = {**_table_mapping(_SIM_KEYS, config),
-           **_table_mapping(_DATA_KEYS, config.data),
-           **_table_mapping(_GMM_KEYS, config.gmm)}
+    out = {**_keyed_mapping(config), **_keyed_mapping(config.data),
+           **_keyed_mapping(config.gmm)}
     return dict(sorted(out.items()))

@@ -111,7 +111,8 @@ class TestAcceptance:
         assert report(2, "decoupled keeps every prototype unique", ok,
                       f"min fraction {fractions.min():.3f} over "
                       f"{len(result.telemetry)} epochs x {len(EPS_GRID)} eps, "
-                      f"{splits} splits, {elapsed:.0f}s")
+                      f"{splits} splits, final acc_all "
+                      f"{result.telemetry[-1].acc_all:.3f}, {elapsed:.0f}s")
 
     def test_03_joint_collapse(self):
         started = time.time()
@@ -123,7 +124,8 @@ class TestAcceptance:
         ok = frac[-1] < 0.5 and monotone and elapsed < 120.0
         assert report(3, "joint regime collapses", ok,
                       f"final fraction at eps 0.025 = {frac[-1]:.3f}, "
-                      f"5-epoch windows monotone: {monotone}, {elapsed:.0f}s")
+                      f"5-epoch windows monotone: {monotone}, final acc_all "
+                      f"{result.telemetry[-1].acc_all:.3f}, {elapsed:.0f}s")
 
     def test_04_uniqueness_definition_fidelity(self):
         rng = np.random.default_rng(42)

@@ -338,6 +338,33 @@ class TestClusterStream:
         assert manifest["status"] == "error"
         assert not out.exists()
 
+    def test_negative_epochs_exit_2(self, tmp_path, capsys):
+        features, _ = cluster_file(tmp_path)
+        out = tmp_path / "m.ckpt"
+        code = main(["cluster-stream", "--features", str(features),
+                     "--out", str(out), "--epochs", "-1"])
+        assert code == 2
+        assert "--epochs" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,key", [
+        ("--beta", "2", "gmm.beta"),
+        ("--init-variance", "nan", "gmm.init_variance"),
+        ("--resurrect-threshold", "0", "gmm.resurrect_threshold"),
+    ])
+    def test_out_of_range_flag_names_its_key(self, tmp_path, flag, value, key):
+        # the flags build a GmmConfig directly, which checks its own ranges
+        features, _ = cluster_file(tmp_path)
+        out = tmp_path / "m.ckpt"
+        code = main(["cluster-stream", "--features", str(features),
+                     "--out", str(out), flag, value])
+        assert code == 2
+        manifest = json.loads((tmp_path / "m.ckpt.manifest.json").read_text())
+        assert repr(key) in manifest["error"]
+        assert not out.exists()
+
     def test_no_rescaling_flag_rejected(self, tmp_path):
         features, _ = cluster_file(tmp_path)
         with pytest.raises(SystemExit) as err:

@@ -412,6 +412,8 @@ class TestConfigText:
         "gmm.eta.end": "1.5", "gmm.resurrect_threshold": "0",
         "gmm.init_variance": "0", "data.spread": "-0.1", "data.exponent": "-1",
         "sim.view_noise": "-0.1", "gmm.anneal_start": "1.5",
+        "sim.prototypes": "0", "sim.latent_dim": "0", "sim.hidden": "0",
+        "data.input_dim": "0", "sim.seed": "-1", "gmm.total_steps": "-1",
     }
 
     @pytest.mark.parametrize("key", KNOWN_KEYS)
@@ -426,6 +428,34 @@ class TestConfigText:
             with pytest.raises(ConfigError) as err:
                 sim_config_from_text(f"{key}={value}\n")
             assert err.value.key == key, value
+
+    def test_key_set_and_default_mapping_pinned(self):
+        # a key dropped or renamed in the field declarations shows here
+        assert KNOWN_KEYS == [
+            "data.classes", "data.exponent", "data.head_min", "data.input_dim",
+            "data.mode", "data.samples", "data.spread", "data.tail_max",
+            "data.test_fraction", "gmm.anneal_start", "gmm.annealing", "gmm.beta",
+            "gmm.eta.end", "gmm.eta.start", "gmm.forgetting", "gmm.init_variance",
+            "gmm.resurrect", "gmm.resurrect_threshold", "gmm.total_steps",
+            "sim.batch", "sim.ema", "sim.epochs", "sim.grad_clip", "sim.hidden",
+            "sim.latent_dim", "sim.lr", "sim.prototypes", "sim.regime", "sim.seed",
+            "sim.tau_student", "sim.tau_teacher", "sim.view_dropout",
+            "sim.view_noise", "sim.views",
+        ]
+        assert sim_config_to_mapping(SimConfig()) == {
+            "data.classes": "8", "data.exponent": "1.5", "data.head_min": "100",
+            "data.input_dim": "32", "data.mode": "balanced", "data.samples": "2048",
+            "data.spread": "0.25", "data.tail_max": "20", "data.test_fraction": "0.2",
+            "gmm.anneal_start": "0.5", "gmm.annealing": "True", "gmm.beta": "1.0",
+            "gmm.eta.end": "0.5", "gmm.eta.start": "0.1", "gmm.forgetting": "True",
+            "gmm.init_variance": "1.0", "gmm.resurrect": "True",
+            "gmm.resurrect_threshold": "0.3", "gmm.total_steps": "0",
+            "sim.batch": "128", "sim.ema": "0.99", "sim.epochs": "50",
+            "sim.grad_clip": "10.0", "sim.hidden": "32", "sim.latent_dim": "16",
+            "sim.lr": "0.5", "sim.prototypes": "64", "sim.regime": "decoupled",
+            "sim.seed": "0", "sim.tau_student": "0.1", "sim.tau_teacher": "0.04",
+            "sim.view_dropout": "0.1", "sim.view_noise": "0.1", "sim.views": "2",
+        }
 
     @pytest.mark.parametrize("key", ["data.spread", "data.exponent", "sim.view_noise"])
     def test_infinite_scale_rejected(self, key):
