@@ -5,7 +5,10 @@ eigenpairs of the covariance, from ``numpy.linalg.eigh``), the planar
 distribution is summarized by a Gaussian kernel density on a grid, and the
 angular distribution by a von Mises-Fisher kernel density over [-pi, pi].
 Everything is exported as CSV through ``checkpoint.write_csv``; no plotting
-happens here.
+happens here.  The kernel's normalizer, the exponentially scaled Bessel
+function i0e, is ported from Cephes (``i0.c``, the same Chebyshev expansions
+behind ``scipy.special.i0e`` and ``numpy.i0``), so numpy is the only runtime
+dependency.
 """
 
 from __future__ import annotations
@@ -24,6 +27,58 @@ logger = logging.getLogger(__name__)
 
 # grid points per block in vmf_kde_angles: bounds its temporary to block * K
 _VMF_GRID_BLOCK = 64
+
+# Cephes i0.c Chebyshev coefficients: _I0E_A for exp(-x)*I0(x) on [0, 8] in
+# x/2 - 2, _I0E_B for sqrt(x)*exp(-x)*I0(x) on (8, inf) in 32/x - 2
+_I0E_A = (
+    -4.41534164647933937950E-18, 3.33079451882223809783E-17,
+    -2.43127984654795469359E-16, 1.71539128555513303061E-15,
+    -1.16853328779934516808E-14, 7.67618549860493561688E-14,
+    -4.85644678311192946090E-13, 2.95505266312963983461E-12,
+    -1.72682629144155570723E-11, 9.67580903537323691224E-11,
+    -5.18979560163526290666E-10, 2.65982372468238665035E-9,
+    -1.30002500998624804212E-8, 6.04699502254191894932E-8,
+    -2.67079385394061173391E-7, 1.11738753912010371815E-6,
+    -4.41673835845875056359E-6, 1.64484480707288970893E-5,
+    -5.75419501008210370398E-5, 1.88502885095841655729E-4,
+    -5.76375574538582365885E-4, 1.63947561694133579842E-3,
+    -4.32430999505057594430E-3, 1.05464603945949983183E-2,
+    -2.37374148058994688156E-2, 4.93052842396707084878E-2,
+    -9.49010970480476444210E-2, 1.71620901522208775349E-1,
+    -3.04682672343198398683E-1, 6.76795274409476084995E-1,
+)
+_I0E_B = (
+    -7.23318048787475395456E-18, -4.83050448594418207126E-18,
+    4.46562142029675999901E-17, 3.46122286769746109310E-17,
+    -2.82762398051658348494E-16, -3.42548561967721913462E-16,
+    1.77256013305652638360E-15, 3.81168066935262242075E-15,
+    -9.55484669882830764870E-15, -4.15056934728722208663E-14,
+    1.54008621752140982691E-14, 3.85277838274214270114E-13,
+    7.18012445138366623367E-13, -1.79417853150680611778E-12,
+    -1.32158118404477131188E-11, -3.14991652796324136454E-11,
+    1.18891471078464383424E-11, 4.94060238822496958910E-10,
+    3.39623202570838634515E-9, 2.26666899049817806459E-8,
+    2.04891858946906374183E-7, 2.89137052083475648297E-6,
+    6.88975834691682398426E-5, 3.36911647825569408990E-3,
+    8.04490411014108831608E-1,
+)
+
+
+def _chbevl(x: float, coeffs: tuple) -> float:
+    """Cephes chbevl: the Chebyshev series sum by Clenshaw's recurrence."""
+    b0, b1, b2 = coeffs[0], 0.0, 0.0
+    for c in coeffs[1:]:
+        b2, b1 = b1, b0
+        b0 = x * b1 - b2 + c
+    return 0.5 * (b0 - b2)
+
+
+def _i0e(x: float) -> float:
+    """exp(-x) * I0(x) for x >= 0, the modified Bessel function of order 0
+    scaled so it stays finite where I0 overflows (Cephes i0e)."""
+    if x <= 8.0:
+        return _chbevl(x / 2.0 - 2.0, _I0E_A)
+    return _chbevl(32.0 / x - 2.0, _I0E_B) / math.sqrt(x)
 
 
 class DegenerateRankError(RuntimeError):
@@ -150,7 +205,6 @@ def vmf_kde_angles(points2d: np.ndarray, kappa: float = 20.0,
     """
     if not (math.isfinite(kappa) and kappa > 0.0):
         raise ValueError(f"kappa must be finite and positive, got {kappa}")
-    from scipy.special import i0e  # here, so only export-kde loads scipy
     points2d = np.asarray(points2d, dtype=np.float64)
     lengths = np.hypot(points2d[:, 0], points2d[:, 1])
     keep = lengths > 0.0
@@ -162,7 +216,7 @@ def vmf_kde_angles(points2d: np.ndarray, kappa: float = 20.0,
         raise ValueError("no nonzero points to estimate angles from")
     angles = np.arctan2(pts[:, 1], pts[:, 0])
     grid = np.linspace(-np.pi, np.pi, n_samples)
-    norm = 2.0 * np.pi * float(i0e(kappa))
+    norm = 2.0 * np.pi * _i0e(kappa)
     cos_a, sin_a = np.cos(angles), np.sin(angles)
     cos_g, sin_g = np.cos(grid), np.sin(grid)
     density = np.empty(n_samples)

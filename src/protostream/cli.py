@@ -209,8 +209,10 @@ def cmd_cluster_stream(args) -> int:
             "batch_size": args.batch_size, "epochs": args.epochs}
 
     def body():
-        for flag, value, low in (("--batch-size", args.batch_size, 1),
-                                 ("--epochs", args.epochs, 0)):
+        for flag, value, low in (("--components", args.components, 1),
+                                 ("--batch-size", args.batch_size, 1),
+                                 ("--epochs", args.epochs, 0),
+                                 ("--seed", args.seed or 0, 0)):
             if value < low:
                 raise ConfigError(flag, f"must be at least {low}, got {value}")
         features = load_matrix(args.features)

@@ -129,7 +129,7 @@ class GmmConfig:
     # unit variances blur all structure when the data lives on a much smaller
     # scale (e.g. 1/D per coordinate for unit-norm vectors), which starves all
     # but a couple of components; match this to the data scale in that case
-    init_variance: float = setting(1.0, "gmm.init_variance", "(0, inf]")
+    init_variance: float = setting(1.0, "gmm.init_variance", "(0, inf)")
 
     def __post_init__(self):
         check_settings(self)

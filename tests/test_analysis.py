@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -128,6 +129,24 @@ class TestGaussianKde2d:
         pts = rng.uniform(-1, 1, size=(30, 2))
         kde = gaussian_kde2d(pts)
         assert kde.bandwidth == scott_bandwidth(pts)
+
+
+class TestI0e:
+    # both Chebyshev branches, their seam at 8, the kappas the tests use, and
+    # arguments where I0 itself overflows
+    GRID = np.concatenate([
+        np.geomspace(1e-6, 8.0, 400), np.linspace(8.0, 100.0, 400)[1:],
+        [np.nextafter(8.0, 9.0), 7.5, 20.0, 709.0, 710.0, 800.0, 5000.0, 1e6, 1e300],
+    ])
+
+    def test_bitwise_equal_scipy(self):
+        got = [analysis._i0e(x) for x in self.GRID]
+        assert got == [float(i0e(x)) for x in self.GRID]
+
+    def test_matches_power_series(self):
+        for x in self.GRID[self.GRID <= 100.0]:
+            want = oracles.bessel_i0(x) * math.exp(-x)
+            assert analysis._i0e(x) == pytest.approx(want, rel=1e-12), x
 
 
 class TestVmfKdeAngles:

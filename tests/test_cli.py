@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import logging
@@ -352,10 +353,14 @@ class TestClusterStream:
     @pytest.mark.parametrize("flag,value,key", [
         ("--beta", "2", "gmm.beta"),
         ("--init-variance", "nan", "gmm.init_variance"),
+        ("--init-variance", "inf", "gmm.init_variance"),
         ("--resurrect-threshold", "0", "gmm.resurrect_threshold"),
+        ("-k", "0", "--components"),
+        ("--seed", "-1", "--seed"),
     ])
     def test_out_of_range_flag_names_its_key(self, tmp_path, flag, value, key):
-        # the flags build a GmmConfig directly, which checks its own ranges
+        # the gmm.* flags build a GmmConfig directly, which checks its own
+        # ranges; the others are checked by cmd_cluster_stream and named by flag
         features, _ = cluster_file(tmp_path)
         out = tmp_path / "m.ckpt"
         code = main(["cluster-stream", "--features", str(features),
@@ -465,15 +470,35 @@ class TestDeterminismAcrossCommands:
             assert snap_a.read_bytes() == snap_b.read_bytes()
 
 
-class TestNumpyOnly:
-    """Only export-kde needs scipy; the other commands run on numpy alone."""
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules that ``source`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
 
-    def test_import_leaves_scipy_unloaded(self):
-        code = "import sys, protostream, protostream.cli; print('scipy' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", code], env=python_env(),
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+
+class TestNumpyOnly:
+    """The package needs numpy alone at run time; scipy is a test reference."""
+
+    @pytest.mark.parametrize("source, names", [
+        ("import scipy", {"scipy"}),
+        ("import scipy.special as sp", {"scipy"}),
+        ("from scipy.special import i0e", {"scipy"}),
+        ("def f():\n    from scipy import special", {"scipy"}),
+        ("from .checkpoint import write_csv", set()),
+        ("import numpy as np", {"numpy"}),
+    ])
+    def test_guard_finds_imports(self, source, names):
+        assert imported_modules(source) == names
+
+    def test_package_does_not_import_scipy(self):
+        found = {p.name for p in sorted((SRC / "protostream").glob("*.py"))
+                 if "scipy" in imported_modules(p.read_text())}
+        assert found == set()
 
     def test_commands_run_with_scipy_blocked(self, tmp_path):
         cfg = write_config(tmp_path, TOY_CONFIG)
@@ -485,6 +510,7 @@ class TestNumpyOnly:
         for argv in (
             ["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")],
             ["analyze", "--protos", str(protos), "--out", str(tmp_path / "sweep.csv")],
+            ["export-kde", "--protos", str(protos), "--out-prefix", str(tmp_path / "kde")],
             ["cluster-stream", "--features", str(features),
              "--out", str(tmp_path / "m.ckpt"), "-k", "4", "--epochs", "2"],
         ):

@@ -457,7 +457,8 @@ class TestConfigText:
             "sim.view_dropout": "0.1", "sim.view_noise": "0.1", "sim.views": "2",
         }
 
-    @pytest.mark.parametrize("key", ["data.spread", "data.exponent", "sim.view_noise"])
+    @pytest.mark.parametrize("key", ["data.spread", "data.exponent", "sim.view_noise",
+                                     "gmm.init_variance"])
     def test_infinite_scale_rejected(self, key):
         with pytest.raises(ConfigError) as err:
             sim_config_from_text(f"{key}=inf\n")
