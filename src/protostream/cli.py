@@ -101,6 +101,13 @@ def _simulate_one(args_tuple):
     return config, result
 
 
+def _check_flags(*checks) -> None:
+    """Raise ``ConfigError`` naming the first (flag, value, low) below low."""
+    for flag, value, low in checks:
+        if value < low:
+            raise ConfigError(flag, f"must be at least {low}, got {value}")
+
+
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     manifest = out_dir / "manifest.json"
@@ -108,31 +115,26 @@ def cmd_simulate(args) -> int:
             "seed": args.seed, "grid": bool(args.grid)}
 
     def body():
+        _check_flags(("--workers", args.workers, 1))
         config_text = Path(args.config).read_text()
-        outputs = []
-        if not args.grid:
-            config, result = _simulate_one((config_text, {}, args.seed, out_dir))
-            info["config"] = sim_config_to_mapping(config)
-            info["epochs_logged"] = len(result.telemetry)
-            outputs.append(result.telemetry_path)
-            outputs.extend(result.snapshot_paths)
-            return outputs
-        combos = list(itertools.product((False, True), repeat=len(ABLATION_TOGGLES)))
-        jobs = []
-        for values in combos:
-            overrides = dict(zip(ABLATION_TOGGLES, values))
-            name = "_".join(f"{k[:3]}{int(v)}" for k, v in overrides.items())
-            jobs.append((config_text, overrides, args.seed, out_dir / name))
-        if args.workers > 1:
+        jobs = [(config_text, {}, args.seed, out_dir)]
+        if args.grid:
+            combos = itertools.product((False, True), repeat=len(ABLATION_TOGGLES))
+            jobs = []
+            for values in combos:
+                overrides = dict(zip(ABLATION_TOGGLES, values))
+                name = "_".join(f"{k[:3]}{int(v)}" for k, v in overrides.items())
+                jobs.append((config_text, overrides, args.seed, out_dir / name))
+            info["grid_runs"] = [str(job[3]) for job in jobs]
+        if args.grid and args.workers > 1:
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
                 results = list(pool.map(_simulate_one, jobs))
         else:
             results = [_simulate_one(job) for job in jobs]
         info["config"] = sim_config_to_mapping(results[0][0])
-        info["grid_runs"] = [str(job[3]) for job in jobs]
-        for (_, result), job in zip(results, jobs):
-            outputs.append(result.telemetry_path)
-        return outputs
+        info["epochs_logged"] = len(results[0][1].telemetry)  # same in every run
+        return [path for _, result in results
+                for path in (result.telemetry_path, *result.snapshot_paths)]
 
     return _run_with_manifest(manifest, info, body)
 
@@ -209,12 +211,10 @@ def cmd_cluster_stream(args) -> int:
             "batch_size": args.batch_size, "epochs": args.epochs}
 
     def body():
-        for flag, value, low in (("--components", args.components, 1),
-                                 ("--batch-size", args.batch_size, 1),
-                                 ("--epochs", args.epochs, 0),
-                                 ("--seed", args.seed or 0, 0)):
-            if value < low:
-                raise ConfigError(flag, f"must be at least {low}, got {value}")
+        _check_flags(("--components", args.components, 1),
+                     ("--batch-size", args.batch_size, 1),
+                     ("--epochs", args.epochs, 0),
+                     ("--seed", args.seed or 0, 0))
         features = load_matrix(args.features)
         n, dim = features.shape
         batches_per_epoch = max(1, -(-n // args.batch_size))

@@ -16,11 +16,9 @@ import numpy as np
 class EncoderParams:
     w1: np.ndarray  # (input_dim, hidden)
     w2: np.ndarray  # (hidden, out_dim)
-    role: str = "student"
 
-    def copy(self, role: str | None = None) -> "EncoderParams":
-        return EncoderParams(self.w1.copy(), self.w2.copy(),
-                             self.role if role is None else role)
+    def copy(self) -> "EncoderParams":
+        return EncoderParams(self.w1.copy(), self.w2.copy())
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.w1.ravel(), self.w2.ravel()])
@@ -29,14 +27,14 @@ class EncoderParams:
         n1 = self.w1.size
         w1 = vec[:n1].reshape(self.w1.shape)
         w2 = vec[n1:].reshape(self.w2.shape)
-        return EncoderParams(w1.copy(), w2.copy(), self.role)
+        return EncoderParams(w1.copy(), w2.copy())
 
 
 def init_encoder(input_dim: int, hidden: int, out_dim: int,
-                 rng: np.random.Generator, role: str = "student") -> EncoderParams:
+                 rng: np.random.Generator) -> EncoderParams:
     w1 = rng.standard_normal((input_dim, hidden)) / np.sqrt(input_dim)
     w2 = rng.standard_normal((hidden, out_dim)) / np.sqrt(hidden)
-    return EncoderParams(w1, w2, role)
+    return EncoderParams(w1, w2)
 
 
 def forward(params: EncoderParams, x: np.ndarray):

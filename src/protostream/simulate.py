@@ -131,24 +131,18 @@ def _global_norm(grads) -> float:
     return math.sqrt(sum(float(np.sum(g * g)) for g in grads))
 
 
-def loss_and_grads(state: SimState, views: np.ndarray,
-                   teacher_probs: list | None = None):
+def loss_and_grads(state: SimState, views: np.ndarray, teacher_probs):
     """Cross-view consistency loss and its analytic gradients.
 
     Returns (loss, d_w1, d_w2, d_protos); d_protos is None outside the joint
-    regime.  Teacher assignments are constant targets; they may be passed in
-    precomputed, otherwise they are derived from the current teacher and
-    prototypes.  The loss averages over all ordered (teacher view, student
-    view) pairs with distinct views.
+    regime.  ``teacher_probs[j]`` is the teacher's (B, K) assignment of view
+    ``j``, a constant target: no gradient flows through it.  The loss
+    averages over all ordered (teacher view, student view) pairs with
+    distinct views.
     """
     cfg = state.config
     protos = state.prototypes
     n_views = views.shape[0]
-    if teacher_probs is None:
-        teacher_probs = []
-        for j in range(n_views):
-            h_t, _ = forward(state.teacher, views[j])
-            teacher_probs.append(assign(h_t, protos, cfg.tau_teacher))
     d_w1 = np.zeros_like(state.student.w1)
     d_w2 = np.zeros_like(state.student.w2)
     d_protos = np.zeros_like(protos) if cfg.regime == "joint" else None
@@ -175,10 +169,14 @@ def loss_and_grads(state: SimState, views: np.ndarray,
 
 
 def student_step(state: SimState, views: np.ndarray,
-                 teacher_probs: list | None = None) -> tuple[SimState, float]:
+                 h_teacher: np.ndarray) -> tuple[SimState, float]:
     """One gradient step on the student encoder (and prototypes when joint).
 
-    ``views`` has shape (J, B, input_dim).  Joint-regime prototypes are
+    ``views`` has shape (J, B, input_dim) and ``h_teacher`` holds the
+    teacher's latents of the views stacked view by view, shape (J*B, D), so
+    the step itself never forwards the teacher.  Its targets are assigned
+    against the current prototypes, which in the decoupled regime are the
+    means just refreshed on the same latents.  Joint-regime prototypes are
     renormalized to unit rows after the step, matching the weight-normalized
     prototype heads this regime models; without that projection a norm race
     crowns one winner per mode and the collapse dynamics stall.  In the
@@ -186,7 +184,9 @@ def student_step(state: SimState, views: np.ndarray,
     gradient whose norm is not finite raises ``ValueError`` naming the step.
     """
     cfg = state.config
-    total_loss, d_w1, d_w2, d_protos = loss_and_grads(state, views, teacher_probs)
+    teacher_probs = assign(h_teacher, state.prototypes, cfg.tau_teacher)
+    total_loss, d_w1, d_w2, d_protos = loss_and_grads(
+        state, views, teacher_probs.reshape(*views.shape[:2], -1))
     if cfg.learning_rate == 0.0:
         return replace(state, step=state.step + 1), total_loss
     grads = [d_w1, d_w2] + ([d_protos] if d_protos is not None else [])
@@ -203,7 +203,6 @@ def student_step(state: SimState, views: np.ndarray,
     student = EncoderParams(
         state.student.w1 - lr * d_w1,
         state.student.w2 - lr * d_w2,
-        role="student",
     )
     new_protos = state.prototypes
     if d_protos is not None:
@@ -220,7 +219,6 @@ def teacher_step(state: SimState) -> SimState:
     teacher = EncoderParams(
         m * state.teacher.w1 + (1.0 - m) * state.student.w1,
         m * state.teacher.w2 + (1.0 - m) * state.student.w2,
-        role="teacher",
     )
     return replace(state, teacher=teacher)
 
@@ -245,8 +243,8 @@ def init_sim(cfg: SimConfig) -> tuple[SimState, Dataset]:
     proto_rng = np.random.default_rng([cfg.seed, 2])
     dataset = make_dataset(cfg.data, data_rng)
     student = init_encoder(cfg.data.input_dim, cfg.hidden, cfg.latent_dim,
-                           enc_rng, role="student")
-    teacher = student.copy(role="teacher")
+                           enc_rng)
+    teacher = student.copy()
     protos = spread_unit_vectors(cfg.n_prototypes, cfg.latent_dim, proto_rng)
     mixture = None
     if cfg.regime == "decoupled":
@@ -343,11 +341,12 @@ def run_experiment(config: SimConfig,
         for batch in shuffled_batches(dataset.x_train, config.batch_size, rng):
             views = make_views(batch, config.views, config.view_noise,
                                config.view_dropout, rng)
+            # one teacher pass over the stacked views: the mixture's data
+            # in the decoupled regime and the student's targets in both
+            h_t, _ = forward(state.teacher, views.reshape(-1, views.shape[2]))
             if config.regime == "decoupled":
-                h_t, _ = forward(state.teacher,
-                                 views.reshape(-1, views.shape[2]))
                 state = prototype_step_decoupled(state, h_t)
-            state, loss = student_step(state, views)
+            state, loss = student_step(state, views, h_t)
             state = teacher_step(state)
             losses.append(loss)
         log_epoch(epoch, float(np.mean(losses)) if losses else float("nan"))

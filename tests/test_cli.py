@@ -123,6 +123,25 @@ class TestSimulate:
             assert (sub / "telemetry.csv").exists()
         # forked workers write the same bytes as one process
         assert grid_artifacts(out) == serial_grid
+        # the manifest lists every file the grid wrote, snapshots included
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = {str(p) for p in out.rglob("*")
+                   if p.is_file() and p.name != "manifest.json"}
+        assert sorted(manifest["outputs"]) == sorted(written)
+        assert len(written) == 8 * 3  # telemetry + 2 snapshots per run
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--grid", "--workers", workers])
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert "--workers" in manifest["error"]
+        assert not any(p.is_dir() for p in out.iterdir())
 
     @pytest.mark.parametrize("key, value", [
         pytest.param("sim.batch", "0", id="0"),

@@ -105,13 +105,18 @@ def build_state(cfg):
     return state, dataset
 
 
+def teacher_latents(state, views):
+    """The teacher's latents of the stacked views, as run_experiment passes them."""
+    return forward(state.teacher, views.reshape(-1, views.shape[2]))[0]
+
+
 class TestStudentStep:
     def test_zero_learning_rate_is_identity(self):
         cfg = tiny_config(learning_rate=0.0, regime="joint")
         state, dataset = build_state(cfg)
         views = make_views(dataset.x_train[:8], 2, 0.1, 0.1,
                            np.random.default_rng(0))
-        new_state, _ = student_step(state, views)
+        new_state, _ = student_step(state, views, teacher_latents(state, views))
         assert new_state.student.w1.tobytes() == state.student.w1.tobytes()
         assert new_state.student.w2.tobytes() == state.student.w2.tobytes()
         assert new_state.prototypes.tobytes() == state.prototypes.tobytes()
@@ -123,7 +128,7 @@ class TestStudentStep:
         before = state.prototypes.tobytes()
         for _ in range(3):
             views = make_views(dataset.x_train[:16], 2, 0.1, 0.1, rng)
-            state, _ = student_step(state, views)
+            state, _ = student_step(state, views, teacher_latents(state, views))
             state = teacher_step(state)
         assert state.prototypes.tobytes() == before
 
@@ -139,15 +144,15 @@ class TestStudentStep:
         state, dataset = build_state(cfg)
         views = make_views(dataset.x_train[:6], 2, 0.15, 0.0,
                            np.random.default_rng(seed + 10))
-        loss, g_w1, g_w2, g_protos = loss_and_grads(state, views)
-        analytic = np.concatenate([g_w1.ravel(), g_w2.ravel(), g_protos.ravel()])
-
-        n1, n2 = state.student.w1.size, state.student.w2.size
         # freeze the teacher targets: they are constants of the loss, so the
         # finite-difference probe must not see prototype changes through them
         targets = [assign(forward(state.teacher, views[j])[0],
                           state.prototypes, cfg.tau_teacher)
                    for j in range(views.shape[0])]
+        loss, g_w1, g_w2, g_protos = loss_and_grads(state, views, targets)
+        analytic = np.concatenate([g_w1.ravel(), g_w2.ravel(), g_protos.ravel()])
+
+        n1, n2 = state.student.w1.size, state.student.w2.size
 
         def loss_at(flat):
             from protostream.simulate import loss_and_grads
@@ -168,7 +173,7 @@ class TestStudentStep:
         state, dataset = build_state(cfg)
         views = make_views(dataset.x_train[:8], 2, 0.1, 0.0,
                            np.random.default_rng(2))
-        new_state, _ = student_step(state, views)
+        new_state, _ = student_step(state, views, teacher_latents(state, views))
         delta = np.linalg.norm(state.student.w1 - new_state.student.w1)
         assert delta <= 1e-8
 
@@ -181,7 +186,28 @@ class TestStudentStep:
                            np.random.default_rng(3))
         views[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="step 5: gradient norm is nan"):
-            student_step(state, views)
+            student_step(state, views, teacher_latents(state, views))
+
+    @pytest.mark.parametrize("regime", ["joint", "decoupled"])
+    def test_forwards_only_the_student(self, regime, monkeypatch):
+        # the teacher's latents come in from the caller's one stacked pass,
+        # so a step forwards the student once per view and never the teacher
+        import protostream.simulate as simulate
+
+        state, dataset = build_state(tiny_config(regime=regime))
+        views = make_views(dataset.x_train[:8], 2, 0.1, 0.0,
+                           np.random.default_rng(4))
+        h_teacher = teacher_latents(state, views)
+        calls = []
+
+        def counting_forward(params, x):
+            calls.append(params)
+            return forward(params, x)
+
+        monkeypatch.setattr(simulate, "forward", counting_forward)
+        student_step(state, views, h_teacher)
+        assert len(calls) == 2
+        assert all(params is state.student for params in calls)
 
 
 class TestTeacherStep:
@@ -216,7 +242,7 @@ class TestTeacherStep:
         hi = np.maximum(state.teacher.w1, state.student.w1)
         for _ in range(15):
             views = make_views(dataset.x_train[:16], 2, 0.1, 0.1, rng)
-            state, _ = student_step(state, views)
+            state, _ = student_step(state, views, teacher_latents(state, views))
             lo = np.minimum(lo, state.student.w1)
             hi = np.maximum(hi, state.student.w1)
             state = teacher_step(state)
@@ -242,11 +268,17 @@ class TestPrototypeStepDecoupled:
         state = prototype_step_decoupled(state, h)
         updated = prototype_step_decoupled(state, h)
         assert updated.prototypes.tobytes() != state.prototypes.tobytes()
-        _, loss = student_step(updated, views)
+        _, loss = student_step(updated, views, h)
         # recompute the loss by hand against the updated prototype matrix
-        _, loss_fresh = student_step(updated, views)
-        assert loss == loss_fresh
-        _, loss_stale = student_step(state, views)
+        protos = updated.prototypes
+        targets = assign(h, protos, cfg.tau_teacher).reshape(2, 32, -1)
+        want = 0.0
+        for js, jt in ((0, 1), (1, 0)):
+            s_probs = assign(forward(updated.student, views[js])[0], protos,
+                             cfg.tau_student)
+            want += consistency_loss(s_probs, targets[jt], cfg.tau_student)[0] / 2
+        assert loss == want
+        _, loss_stale = student_step(state, views, h)
         assert loss != loss_stale
 
     def test_joint_regime_rejected(self):
@@ -266,7 +298,7 @@ class TestPrototypeStepDecoupled:
         spec = DataSpec(n_classes=n_classes, input_dim=input_dim,
                         n_samples=512, spread=0.05)
         dataset = make_dataset(spec, rng)
-        encoder = init_encoder(input_dim, 64, latent_dim, rng, role="teacher")
+        encoder = init_encoder(input_dim, 64, latent_dim, rng)
         latents, _ = forward(encoder, dataset.x_train)
         center_latents, _ = forward(encoder, dataset.centers)
         n = latents.shape[0]
