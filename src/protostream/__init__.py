@@ -20,6 +20,7 @@ from .collapse import (
     AngularStats,
     CollapseReport,
     PrototypeMatrix,
+    StateError,
     angular_stats,
     count_unique,
     epsilon_sweep,
@@ -34,7 +35,6 @@ from .mixture import (
     MixtureState,
     MixtureUpdate,
     SplitEvent,
-    StateError,
     SufficientStats,
     batch_suffstats,
     e_step,

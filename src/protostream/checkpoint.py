@@ -9,12 +9,12 @@ Checkpoint layout (little-endian, version 2): magic ``PDGM``, u32 version,
 u32 K, u32 D, u64 step, then the sufficient statistics: counts (K f64),
 first moments (K*D f64 row-major) and second moments (K*D f64), all
 per-sample averages.  The statistics are the whole state of stepwise EM, so
-the file stores no parameters: ``load_checkpoint`` returns ``m_step`` of the
-statistics under the fixed ``GmmConfig.variance_floor``, and a loaded
-state's weights, means and variances agree with its statistics by
-construction.  A state built from parameters alone stores its seeded
-pseudo-counts.  Files of any other version, including version 1 (which also
-stored the parameters), are refused.
+the file stores no parameters: ``load_checkpoint`` builds the state with
+``MixtureState.from_stats``, which derives the parameters as every state
+does, and a saved state reloads with the weights, means and variances it
+had in memory, a state built from parameters alone included.  Files of any
+other version, including version 1 (which also stored the parameters), are
+refused.
 
 ``load_checkpoint`` rejects a zero K or D, non-finite values, non-positive
 counts or counts whose sum overflows, negative second moments, and
@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mixture import GmmConfig, MixtureState, SufficientStats, m_step
+from .mixture import MixtureState, SufficientStats
 
 MAGIC = b"PDGM"
 VERSION = 2
@@ -150,16 +150,16 @@ def load_checkpoint(path: str | Path) -> MixtureState:
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(s_pi.sum()):  # else every weight would be zero
             raise CheckpointError("counts overflow their sum", starts[0])
-        weights, means, variances = m_step(stats, GmmConfig.variance_floor)
+        state = MixtureState.from_stats(stats, int(step))
         # a mean whose square overflows gives a variance of -inf before the
         # floor, which would hide it
-        squares = means * means
-    for name, arr, at in (("means", means, starts[1]),
-                          ("variances", variances, starts[2]),
+        squares = state.means * state.means
+    for name, arr, at in (("means", state.means, starts[1]),
+                          ("variances", state.variances, starts[2]),
                           ("variances", squares, starts[2])):
         if not np.isfinite(arr).all():
             raise CheckpointError(f"statistics give non-finite {name}", at)
-    return MixtureState(weights, means, variances, stats, int(step))
+    return state
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:

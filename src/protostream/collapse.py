@@ -42,8 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixture import StateError
-
 # above this many prototypes the pairwise-angle histogram subsamples pairs
 ANGLE_PAIR_K_CAP = 10_000
 _ANGLE_PAIR_BUDGET = 2_000_000
@@ -58,6 +56,11 @@ _ANGLE_PAIR_CHUNK = 1 << 15
 # at most this many angles at a time
 _ANGLE_BINS = 180
 _ANGLE_COUNT_BLOCK = 1 << 16
+
+
+class StateError(RuntimeError):
+    """Raised when a diagnostic is given a ``PrototypeMatrix`` whose rows are
+    not normalized."""
 
 
 @dataclass

@@ -20,15 +20,6 @@ class EncoderParams:
     def copy(self) -> "EncoderParams":
         return EncoderParams(self.w1.copy(), self.w2.copy())
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.w1.ravel(), self.w2.ravel()])
-
-    def with_flat(self, vec: np.ndarray) -> "EncoderParams":
-        n1 = self.w1.size
-        w1 = vec[:n1].reshape(self.w1.shape)
-        w2 = vec[n1:].reshape(self.w2.shape)
-        return EncoderParams(w1.copy(), w2.copy())
-
 
 def init_encoder(input_dim: int, hidden: int, out_dim: int,
                  rng: np.random.Generator) -> EncoderParams:

@@ -4,21 +4,18 @@ The mixture is updated one mini-batch at a time, as stepwise online EM: an
 annealed E-step produces soft assignments, the batch's per-sample sufficient
 statistics are blended into persistent accumulators with a
 responsibility-weighted forgetting factor, and an M-step recovers weights,
-means, and diagonal variances.  The means double as the prototype set.  A
-state carries statistics from the moment it is built: one made from
-parameters alone is seeded with per-sample pseudo-counts whose M-step gives
-those parameters back, so the first update is an ordinary update.
+means, and diagonal variances.  The means double as the prototype set.  The
+statistics are the whole state, all on one per-sample scale: a
+``MixtureState`` derives its weights, means and variances from them in one
+``m_step`` call at construction, the only place they are derived, so a
+checkpoint, which stores only the statistics, reloads as the saved state.
 ``gmm_update`` evaluates the batch's log densities once and returns them
 with the new state in a ``MixtureUpdate`` record, so the batch's pre-update
 log-likelihood needs no second pass.
 
 One regularizer guards long runs: ``split_resurrect`` halves the mass of an
-over-weighted component into a reinitialized lightest one.  Within
-``gmm_update`` it edits the sufficient statistics and the parameters are
-re-derived from them, so after every update the published weights, means and
-variances equal ``m_step`` of the statistics and a split outlasts the update.
-A checkpoint stores only the statistics, so the same holds for a loaded
-state.
+over-weighted component into a reinitialized lightest one.  It edits the
+sufficient statistics, so a split outlasts the update.
 No other regularizer is needed to keep the decoupled mixture diverse: its
 responsibility-weighted forgetting, the step-size schedule of stepwise EM,
 keeps the components apart.
@@ -82,11 +79,6 @@ def check_settings(config) -> None:
                 raise ConfigError(f.metadata["key"], f"must lie in {bounds}, got {v!r}")
 
 
-class StateError(RuntimeError):
-    """Raised when a diagnostic is given a ``PrototypeMatrix`` whose rows are
-    not normalized."""
-
-
 @dataclass(frozen=True)
 class LinearSchedule:
     """Linear ramp from ``start`` to ``end`` over ``total_steps`` updates."""
@@ -110,8 +102,8 @@ class GmmConfig:
     off; with ``annealing`` on, beta ramps linearly ``anneal_start -> 1.0``
     over ``total_steps``.  The forgetting factor ramps ``eta_start ->
     eta_end`` over the same horizon and is evaluated once per update.
-    ``variance_floor`` is a constant, not a field: a checkpoint's parameters
-    are derived under it on load.
+    ``variance_floor`` is a constant, not a field: every state's parameters,
+    a loaded checkpoint's included, are derived under it.
     """
 
     variance_floor: ClassVar[float] = 1e-6
@@ -161,12 +153,14 @@ class SufficientStats:
 
 @dataclass
 class MixtureState:
-    """Mixture weights, means (the prototypes), diagonal variances, and stats.
+    """Weights, means (the prototypes) and diagonal variances, always
+    ``m_step`` of ``suffstats``; build one with ``from_stats(stats, step)``.
 
-    Built with ``suffstats=None``, the state is seeded with per-sample
-    pseudo-counts whose ``m_step`` gives back its parameters: counts equal to
-    the weights, first moments ``weights * means`` and second moments
-    ``weights * (variances + means**2)``.
+    ``MixtureState(weights, means, variances, None, step)`` first seeds
+    per-sample pseudo-counts, whose M-step gives back the parameters up to
+    an ulp: counts equal to the weights, first moments ``weights * means``
+    and second moments ``weights * (variances + means**2)``.  Parameters
+    passed together with statistics raise ``ValueError``.
     """
 
     weights: np.ndarray  # (K,), on the probability simplex
@@ -182,6 +176,14 @@ class MixtureState:
                 self.weights.copy(), w * self.means,
                 w * (self.variances + self.means * self.means),
             )
+        elif any(p is not None for p in (self.weights, self.means, self.variances)):
+            raise ValueError("a MixtureState takes parameters or statistics, not both")
+        self.weights, self.means, self.variances = m_step(
+            self.suffstats, GmmConfig.variance_floor)
+
+    @classmethod
+    def from_stats(cls, stats: SufficientStats, step: int) -> "MixtureState":
+        return cls(None, None, None, stats, step)
 
     @property
     def k(self) -> int:
@@ -190,15 +192,6 @@ class MixtureState:
     @property
     def d(self) -> int:
         return self.means.shape[1]
-
-    def copy(self) -> "MixtureState":
-        return MixtureState(
-            self.weights.copy(),
-            self.means.copy(),
-            self.variances.copy(),
-            self.suffstats.copy(),
-            self.step,
-        )
 
 
 @dataclass(frozen=True)
@@ -350,34 +343,35 @@ class MixtureUpdate:
 
 
 def batch_suffstats(batch: np.ndarray, resp: np.ndarray) -> SufficientStats:
-    """Responsibility-weighted zeroth/first/second moments of one batch."""
+    """Responsibility-weighted zeroth/first/second moments of one batch, each
+    averaged over its samples, so the counts sum to one."""
     batch = np.asarray(batch, dtype=np.float64)
     resp = np.asarray(resp, dtype=np.float64)
-    if batch.ndim != 2 or resp.ndim != 2 or batch.shape[0] != resp.shape[0]:
-        raise ValueError(
-            f"shape mismatch: batch {batch.shape} vs responsibilities {resp.shape}"
-        )
-    s_pi = resp.sum(axis=0)
-    s_mu = resp.T @ batch
-    s_sigma = resp.T @ (batch * batch)
+    if (batch.ndim != 2 or resp.ndim != 2 or resp.shape[0] != batch.shape[0]
+            or not len(batch)):
+        raise ValueError(f"need a non-empty batch and one responsibility row per "
+                         f"sample: batch {batch.shape} vs responsibilities {resp.shape}")
+    n = batch.shape[0]
+    # scaling the (K,) and (K, D) sums is cheaper than scaling the (N, K) resp
+    s_pi = resp.sum(axis=0) / n
+    s_mu = (resp.T @ batch) / n
+    s_sigma = (resp.T @ (batch * batch)) / n
     return SufficientStats(s_pi, s_mu, s_sigma)
 
 
-def forget_and_merge(state: MixtureState, fresh: SufficientStats,
-                     resp: np.ndarray, eta: float,
+def forget_and_merge(old: SufficientStats, fresh: SufficientStats, eta: float,
                      use_resp_forgetting: bool = True) -> SufficientStats:
-    """Blend fresh statistics into the persistent ones with decay eta**gamma_k.
+    """Blend batch statistics into the persistent ones with decay eta**gamma_k.
 
-    gamma_k is the mean responsibility of component k over the batch, so
-    rarely used components decay slowly; a component with exactly zero batch
-    responsibility keeps bitwise-identical statistics.  With
-    ``use_resp_forgetting`` off the exponent is 1 (plain eta).
+    gamma_k is ``fresh.s_pi[k]``, the mean responsibility of component k over
+    the batch, so rarely used components decay slowly; a component with
+    exactly zero batch responsibility keeps bitwise-identical statistics.
+    With ``use_resp_forgetting`` off the exponent is 1 (plain eta).
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    old = state.suffstats
     if use_resp_forgetting:
-        gamma_hat = np.asarray(resp, dtype=np.float64).mean(axis=0)
+        gamma_hat = fresh.s_pi
         decay = np.power(eta, gamma_hat)
     else:
         gamma_hat = None
@@ -411,12 +405,6 @@ def m_step(suffstats: SufficientStats, variance_floor: float
     variances = suffstats.s_sigma / s_pi[:, None] - means * means
     variances = np.maximum(variances, variance_floor)
     return weights, means, variances
-
-
-def _from_stats(stats: SufficientStats, step: int) -> MixtureState:
-    """State whose published parameters are ``m_step`` of ``stats``."""
-    weights, means, variances = m_step(stats, GmmConfig.variance_floor)
-    return MixtureState(weights, means, variances, stats, step)
 
 
 def split_resurrect(state: MixtureState, threshold: float,
@@ -469,7 +457,7 @@ def split_resurrect(state: MixtureState, threshold: float,
         stats.s_sigma[j] = (init_variance + means[j] * means[j]) * half
         events.append(SplitEvent(kind="split", dominant=k, resurrected=j,
                                  old_weight=old_weight))
-    return _from_stats(stats, state.step), events
+    return MixtureState.from_stats(stats, state.step), events
 
 
 def gmm_update(state: MixtureState, batch: np.ndarray, config: GmmConfig,
@@ -495,14 +483,9 @@ def gmm_update(state: MixtureState, batch: np.ndarray, config: GmmConfig,
     log_w = _log_weights(state)
     log_dens = _log_densities(state, batch)
     resp = _responsibilities(log_w, log_dens, beta)
-    fresh = batch_suffstats(batch, resp)
-    # per-sample averages, on the scale of the seeded pseudo-counts; scaling
-    # the (K,) and (K, D) sums is cheaper than scaling the (N, K) resp
-    n = batch.shape[0]
-    fresh = SufficientStats(fresh.s_pi / n, fresh.s_mu / n, fresh.s_sigma / n)
-    stats = forget_and_merge(state, fresh, resp, eta,
+    stats = forget_and_merge(state.suffstats, batch_suffstats(batch, resp), eta,
                              config.responsibility_forgetting)
-    new_state = _from_stats(stats, state.step + 1)
+    new_state = MixtureState.from_stats(stats, state.step + 1)
     if config.resurrect:
         rng = np.random.default_rng([config.rng_seed, _SPLIT_STREAM, state.step])
         new_state, events = split_resurrect(

@@ -305,7 +305,7 @@ def _snapshot_state(state: SimState, epoch: int) -> MixtureState:
         return state.mixture
     k, d = state.prototypes.shape
     return MixtureState(
-        np.full(k, 1.0 / k), state.prototypes.copy(), np.ones((k, d)),
+        np.full(k, 1.0 / k), state.prototypes, np.ones((k, d)),
         None, epoch,
     )
 

@@ -131,6 +131,18 @@ def finite_diff(fn, params, step=1e-5):
     return grad
 
 
+def flat(params):
+    """An encoder's weights as one vector: ``w1`` then ``w2``, row-major."""
+    return np.concatenate([params.w1.ravel(), params.w2.ravel()])
+
+
+def with_flat(params, vec):
+    """A copy of ``params`` with the weights read back from a ``flat`` vector."""
+    n1 = params.w1.size
+    return type(params)(vec[:n1].reshape(params.w1.shape).copy(),
+                        vec[n1:].reshape(params.w2.shape).copy())
+
+
 def oracle_make_dataset(sizes, input_dim, spread, test_fraction, rng):
     """Class blobs drawn one class at a time and stacked at the end.
 

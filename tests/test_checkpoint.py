@@ -47,6 +47,16 @@ class TestBinaryRoundTrip:
         assert loaded.suffstats.s_mu.tobytes() == state.suffstats.s_mu.tobytes()
         assert loaded.suffstats.s_sigma.tobytes() == state.suffstats.s_sigma.tobytes()
 
+    def test_step_zero_state_reloads_as_held(self, tmp_path):
+        config = GmmConfig(init_variance=1.0 / 64.0)
+        state = init_mixture(1024, 64, config=config, rng=np.random.default_rng(0))
+        path = tmp_path / "step0.ckpt"
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+        for got, want in zip((loaded.weights, loaded.means, loaded.variances),
+                             (state.weights, state.means, state.variances)):
+            assert got.tobytes() == want.tobytes()
+
     def test_fresh_state_round_trip(self, tmp_path):
         state = init_mixture(3, 2, rng=np.random.default_rng(1))
         path = tmp_path / "fresh.ckpt"

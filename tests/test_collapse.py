@@ -14,7 +14,7 @@ from protostream.collapse import (
     epsilon_sweep,
     normalize_rows,
 )
-from protostream.mixture import StateError
+from protostream.collapse import StateError
 
 import oracles
 

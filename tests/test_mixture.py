@@ -1,3 +1,4 @@
+import copy
 import logging
 
 import numpy as np
@@ -61,6 +62,20 @@ class TestInitMixture:
             init_mixture(0, 3)
         with pytest.raises(ValueError):
             init_mixture(3, 0)
+
+    def test_published_parameters_are_m_step_of_seeded_stats(self):
+        config = GmmConfig(init_variance=1.0 / 64.0)
+        state = init_mixture(1024, 64, config=config, rng=np.random.default_rng(0))
+        derived = m_step(state.suffstats, GmmConfig.variance_floor)
+        for got, want in zip((state.weights, state.means, state.variances),
+                             derived):
+            assert got.tobytes() == want.tobytes()
+
+    def test_parameters_with_statistics_refused(self):
+        state = init_mixture(3, 2, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="not both"):
+            MixtureState(state.weights, state.means, state.variances,
+                         state.suffstats, 0)
 
     def test_random_means_scale(self):
         state = init_mixture(200, 64, rng=np.random.default_rng(3))
@@ -132,15 +147,15 @@ class TestBatchSuffstats:
         batch = np.array([[1.0, 0.0], [0.0, 1.0]])
         resp = np.full((2, 2), 0.5)
         stats = batch_suffstats(batch, resp)
-        np.testing.assert_allclose(stats.s_pi, [1.0, 1.0])
+        np.testing.assert_allclose(stats.s_pi, [0.5, 0.5])
 
-    def test_total_count_equals_n(self):
+    def test_total_count_is_one(self):
         rng = np.random.default_rng(5)
         state = init_mixture(5, 4, rng=rng)
         batch = rng.standard_normal((8, 4))
         resp = e_step(state, batch, beta=1.0)
         stats = batch_suffstats(batch, resp)
-        assert abs(stats.s_pi.sum() - 8.0) < 1e-9
+        assert abs(stats.s_pi.sum() - 1.0) < 1e-9
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(11)
@@ -148,25 +163,26 @@ class TestBatchSuffstats:
         resp = rng.dirichlet(np.ones(5), size=8)
         stats = batch_suffstats(batch, resp)
         s_pi, s_mu, s_sigma = oracles.oracle_suffstats(batch, resp)
-        np.testing.assert_allclose(stats.s_pi, s_pi, atol=1e-12)
-        np.testing.assert_allclose(stats.s_mu, s_mu, atol=1e-12)
-        np.testing.assert_allclose(stats.s_sigma, s_sigma, atol=1e-12)
+        np.testing.assert_allclose(stats.s_pi, s_pi / 8, atol=1e-12)
+        np.testing.assert_allclose(stats.s_mu, s_mu / 8, atol=1e-12)
+        np.testing.assert_allclose(stats.s_sigma, s_sigma / 8, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             batch_suffstats(np.zeros((3, 2)), np.zeros((4, 2)))
 
+    def test_empty_batch_rejected(self):
+        # an empty batch has no per-sample average
+        with pytest.raises(ValueError, match="non-empty"):
+            batch_suffstats(np.zeros((0, 2)), np.zeros((0, 3)))
+
 
 def small_state_with_stats(rng, k=3, d=2):
-    from protostream.mixture import SufficientStats
-
-    state = init_mixture(k, d, rng=rng)
-    stats = SufficientStats(
-        rng.uniform(1.0, 3.0, size=k),
-        rng.standard_normal((k, d)),
-        rng.uniform(0.5, 2.0, size=(k, d)),
-    )
-    return MixtureState(state.weights, state.means, state.variances, stats, 1)
+    s_pi = rng.uniform(1.0, 3.0, size=k)
+    s_mu = rng.standard_normal((k, d))
+    # second moments of variances 0.5/s_pi to 2/s_pi, none at the floor
+    s_sigma = rng.uniform(0.5, 2.0, size=(k, d)) + s_mu * s_mu / s_pi[:, None]
+    return MixtureState.from_stats(SufficientStats(s_pi, s_mu, s_sigma), 1)
 
 
 class TestForgetAndMerge:
@@ -176,7 +192,7 @@ class TestForgetAndMerge:
         batch = rng.standard_normal((6, 2))
         resp = e_step(state, batch, beta=1.0)
         fresh = batch_suffstats(batch, resp)
-        merged = forget_and_merge(state, fresh, resp, eta=0.0)
+        merged = forget_and_merge(state.suffstats, fresh, eta=0.0)
         np.testing.assert_array_equal(merged.s_pi, fresh.s_pi)
         np.testing.assert_array_equal(merged.s_mu, fresh.s_mu)
 
@@ -189,7 +205,7 @@ class TestForgetAndMerge:
         resp[:, 0] = 0.25
         resp[:, 2] = 0.75
         fresh = batch_suffstats(batch, resp)
-        merged = forget_and_merge(state, fresh, resp, eta=0.4)
+        merged = forget_and_merge(state.suffstats, fresh, eta=0.4)
         same = (
             merged.s_pi[1].tobytes() == state.suffstats.s_pi[1].tobytes()
             and merged.s_mu[1].tobytes() == state.suffstats.s_mu[1].tobytes()
@@ -199,17 +215,11 @@ class TestForgetAndMerge:
 
     def test_midpoint_arithmetic(self):
         # eta=0.5 with unit mean responsibility blends old and fresh equally
-        from protostream.mixture import SufficientStats
-
-        state = MixtureState(
-            np.array([1.0]), np.zeros((1, 1)), np.ones((1, 1)),
-            SufficientStats(np.array([2.0]), np.array([[2.0]]), np.array([[2.0]])),
-            1,
-        )
-        resp = np.ones((3, 1))
-        fresh = SufficientStats(np.array([4.0]), np.array([[4.0]]), np.array([[4.0]]))
-        merged = forget_and_merge(state, fresh, resp, eta=0.5)
-        np.testing.assert_allclose(merged.s_pi, [3.0])
+        old = SufficientStats(np.array([2.0]), np.array([[2.0]]), np.array([[2.0]]))
+        # per-sample count 1: the one component took every sample
+        fresh = SufficientStats(np.array([1.0]), np.array([[4.0]]), np.array([[4.0]]))
+        merged = forget_and_merge(old, fresh, eta=0.5)
+        np.testing.assert_allclose(merged.s_pi, [1.5])
         np.testing.assert_allclose(merged.s_mu, [[3.0]])
 
     def test_plain_eta_when_disabled(self):
@@ -218,7 +228,7 @@ class TestForgetAndMerge:
         batch = rng.standard_normal((5, 2))
         resp = e_step(state, batch, beta=1.0)
         fresh = batch_suffstats(batch, resp)
-        merged = forget_and_merge(state, fresh, resp, eta=0.25,
+        merged = forget_and_merge(state.suffstats, fresh, eta=0.25,
                                   use_resp_forgetting=False)
         want = 0.25 * state.suffstats.s_pi + 0.75 * fresh.s_pi
         np.testing.assert_allclose(merged.s_pi, want, atol=1e-12)
@@ -230,7 +240,7 @@ class TestForgetAndMerge:
         resp = e_step(state, batch, beta=1.0)
         fresh = batch_suffstats(batch, resp)
         with pytest.raises(ValueError):
-            forget_and_merge(state, fresh, resp, eta=1.5)
+            forget_and_merge(state.suffstats, fresh, eta=1.5)
 
 
 class TestMStep:
@@ -283,7 +293,7 @@ class TestSplitResurrect:
         base = init_mixture(3, 4, rng=np.random.default_rng(0))
         state = MixtureState(np.array([0.4, 0.35, 0.25]), base.means,
                              base.variances, None, 0)
-        before = state.copy()
+        before = copy.deepcopy(state)
         new_state, events = split_resurrect(state, 0.3, np.random.default_rng(1))
         splits = [e for e in events if e.kind == "split"]
         assert splits[0].dominant == 0
@@ -329,7 +339,7 @@ class TestSplitResurrect:
         s_sigma = (rng.uniform(0.5, 2.0, size=(3, 4))
                    + (s_mu / s_pi[:, None]) ** 2) * s_pi[:, None]
         stats = SufficientStats(s_pi, s_mu, s_sigma)
-        state = MixtureState(*m_step(stats, 1e-6), stats, 1)
+        state = MixtureState.from_stats(stats, 1)
         new_state, events = split_resurrect(state, 0.3, np.random.default_rng(2),
                                             init_variance=0.25)
         assert [(e.dominant, e.resurrected) for e in events] == [(0, 2), (1, 0)]
@@ -452,9 +462,7 @@ class TestFusedUpdate:
         beta, eta = config.beta_at(state.step), config.eta_at(state.step)
         resp = e_step(state, batch, beta)
         fresh = batch_suffstats(batch, resp)
-        n = batch.shape[0]
-        fresh = SufficientStats(fresh.s_pi / n, fresh.s_mu / n, fresh.s_sigma / n)
-        stats = forget_and_merge(state, fresh, resp, eta, forgetting)
+        stats = forget_and_merge(state.suffstats, fresh, eta, forgetting)
         want = m_step(stats, GmmConfig.variance_floor)
         got = gmm_update(state, batch, config).state
         assert got.step == state.step + 1
@@ -578,11 +586,13 @@ def _invariant_stream(k, d, threshold, toggles, seed, steps):
     rng = np.random.default_rng(seed)
     state = init_mixture(k, d, rng=rng)
     centers = 3.0 * rng.standard_normal((int(rng.integers(1, 4)), d))
-    for _ in range(steps):
-        n = int(rng.integers(1, 40))
-        batch = (centers[rng.integers(0, centers.shape[0], size=n)]
-                 + rng.uniform(0.01, 1.0) * rng.standard_normal((n, d)))
-        state = gmm_update(state, batch, config).state
+    for update in range(steps + 1):
+        # update 0 checks the state as built, before its first update
+        if update:
+            n = int(rng.integers(1, 40))
+            batch = (centers[rng.integers(0, centers.shape[0], size=n)]
+                     + rng.uniform(0.01, 1.0) * rng.standard_normal((n, d)))
+            state = gmm_update(state, batch, config).state
         derived = m_step(state.suffstats, config.variance_floor)
         for got, want in zip((state.weights, state.means, state.variances),
                              derived):

@@ -4,7 +4,7 @@ from scipy.optimize import linear_sum_assignment
 
 from protostream.datagen import DataSpec, class_sizes, make_dataset, make_views
 from protostream.encoder import forward, init_encoder
-from protostream.mixture import GmmConfig, init_mixture, gmm_update
+from protostream.mixture import GmmConfig, gmm_update, init_mixture, m_step
 from protostream.simulate import (
     KNOWN_KEYS,
     ConfigError,
@@ -22,6 +22,7 @@ from protostream.simulate import (
 )
 
 import oracles
+from test_acceptance import contrast_config
 
 
 def tiny_config(**kw):
@@ -157,13 +158,13 @@ class TestStudentStep:
         def loss_at(flat):
             from protostream.simulate import loss_and_grads
 
-            student = state.student.with_flat(flat[: n1 + n2])
+            student = oracles.with_flat(state.student, flat[: n1 + n2])
             protos = flat[n1 + n2:].reshape(state.prototypes.shape)
             probe = type(state)(cfg, student, state.teacher, protos,
                                 state.mixture, state.step)
             return loss_and_grads(probe, views, teacher_probs=targets)[0]
 
-        flat0 = np.concatenate([state.student.flat(), state.prototypes.ravel()])
+        flat0 = np.concatenate([oracles.flat(state.student), state.prototypes.ravel()])
         fd = oracles.finite_diff(loss_at, flat0, step=1e-5)
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel < 1e-6
@@ -251,6 +252,15 @@ class TestTeacherStep:
 
 
 class TestPrototypeStepDecoupled:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_initial_mixture_is_m_step_of_its_stats(self, seed):
+        state, _ = init_sim(contrast_config("decoupled", seed))
+        mixture = state.mixture
+        derived = m_step(mixture.suffstats, GmmConfig.variance_floor)
+        for got, want in zip((mixture.weights, mixture.means, mixture.variances),
+                             derived):
+            assert got.tobytes() == want.tobytes()
+
     def test_prototypes_alias_mixture_means(self):
         cfg = tiny_config()
         state, dataset = build_state(cfg)
@@ -504,4 +514,11 @@ class TestConfigText:
             "data.classes=2\ndata.input_dim=4\ndata.samples=40\n"
             "gmm.init_variance=0.0625\n"
         ))
-        assert np.all(state.mixture.variances == 0.0625)
+        # the key sets the seeded second moments; the published variances
+        # are their M-step
+        mixture = state.mixture
+        stats = mixture.suffstats
+        want = stats.s_pi[:, None] * (0.0625 + mixture.means * mixture.means)
+        assert stats.s_sigma.tobytes() == want.tobytes()
+        derived = m_step(stats, GmmConfig.variance_floor)[2]
+        assert mixture.variances.tobytes() == derived.tobytes()
