@@ -26,8 +26,7 @@ def main():
     # responsibility-weighted variant targets large parked prototype sets
     config = GmmConfig(total_steps=epochs * (n // batch), rng_seed=0,
                        responsibility_forgetting=False)
-    state = init_mixture(k, dim, init_points=data, config=config,
-                         rng=np.random.default_rng(3))
+    state = init_mixture(k, data, config, np.random.default_rng(3))
     print(f"initial avg log-likelihood: {log_likelihood(state, data):8.3f}")
 
     for epoch in range(epochs):

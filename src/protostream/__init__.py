@@ -31,7 +31,6 @@ from .encoder import EncoderParams, init_encoder
 from .mixture import (
     DegenerateComponentError,
     GmmConfig,
-    LinearSchedule,
     MixtureState,
     MixtureUpdate,
     SplitEvent,

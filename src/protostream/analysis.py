@@ -28,6 +28,10 @@ logger = logging.getLogger(__name__)
 # grid points per block in vmf_kde_angles: bounds its temporary to block * K
 _VMF_GRID_BLOCK = 64
 
+# the planar KDE grid: _KDE_GRID_N points per axis over [-extent, extent]
+_KDE_EXTENT = 1.1
+_KDE_GRID_N = 64
+
 # Cephes i0.c Chebyshev coefficients: _I0E_A for exp(-x)*I0(x) on [0, 8] in
 # x/2 - 2, _I0E_B for sqrt(x)*exp(-x)*I0(x) on (8, inf) in 32/x - 2
 _I0E_A = (
@@ -144,15 +148,6 @@ def pca_project(protos: PrototypeMatrix | np.ndarray) -> Projection2D:
     )
 
 
-@dataclass
-class GridSpec2D:
-    x_min: float = -1.1
-    x_max: float = 1.1
-    y_min: float = -1.1
-    y_max: float = 1.1
-    n: int = 64
-
-
 def scott_bandwidth(points: np.ndarray) -> tuple:
     """Scott-style rule: per-axis standard deviation times K^(-1/6)."""
     k = points.shape[0]
@@ -162,31 +157,19 @@ def scott_bandwidth(points: np.ndarray) -> tuple:
     return (max(sx * factor, 1e-12), max(sy * factor, 1e-12))
 
 
-def gaussian_kde2d(points: np.ndarray, grid: GridSpec2D | None = None,
-                   bandwidth: float | tuple | None = None) -> KdeGrid:
-    """Average of axis-aligned Gaussian kernels evaluated on a regular grid."""
+def gaussian_kde2d(points: np.ndarray) -> KdeGrid:
+    """Average of axis-aligned Gaussian kernels of Scott bandwidth, evaluated
+    on the 64 x 64 grid over [-1.1, 1.1]^2 (``density[y, x]``)."""
     points = np.asarray(points, dtype=np.float64)
-    if grid is None:
-        grid = GridSpec2D()
-    if bandwidth is None:
-        bw = scott_bandwidth(points)
-    elif np.isscalar(bandwidth):
-        if bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-        bw = (float(bandwidth), float(bandwidth))
-    else:
-        bw = (float(bandwidth[0]), float(bandwidth[1]))
-        if bw[0] <= 0 or bw[1] <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bw}")
-    xs = np.linspace(grid.x_min, grid.x_max, grid.n)
-    ys = np.linspace(grid.y_min, grid.y_max, grid.n)
+    bw = scott_bandwidth(points)
+    grid = np.linspace(-_KDE_EXTENT, _KDE_EXTENT, _KDE_GRID_N)
     # the kernel is separable: exp(-(dx^2 + dy^2)/2) = exp(-dx^2/2) exp(-dy^2/2),
     # so the grid sum over points is one (n, K) x (K, n) product
-    dx = (xs[:, None] - points[None, :, 0]) / bw[0]
-    dy = (ys[:, None] - points[None, :, 1]) / bw[1]
+    dx = (grid[:, None] - points[None, :, 0]) / bw[0]
+    dy = (grid[:, None] - points[None, :, 1]) / bw[1]
     density = np.exp(-0.5 * dy * dy) @ np.exp(-0.5 * dx * dx).T
     density /= points.shape[0] * 2.0 * np.pi * bw[0] * bw[1]
-    return KdeGrid(x=xs, y=ys, density=density, bandwidth=bw)
+    return KdeGrid(x=grid, y=grid, density=density, bandwidth=bw)
 
 
 def vmf_kde_angles(points2d: np.ndarray, kappa: float = 20.0,
@@ -236,13 +219,12 @@ def vmf_kde_angles(points2d: np.ndarray, kappa: float = 20.0,
 
 
 def export_prototype_kde(rows: np.ndarray, out_prefix: str | Path,
-                         kappa: float = 20.0, normalize: bool = True,
-                         grid: GridSpec2D | None = None) -> dict:
+                         kappa: float = 20.0, normalize: bool = True) -> dict:
     """Full pipeline: (normalize) -> PCA -> planar KDE + angular KDE -> CSVs."""
     protos = normalize_rows(rows) if normalize else PrototypeMatrix(
         np.asarray(rows, dtype=np.float64), normalized=False)
     projection = pca_project(protos)
-    planar = gaussian_kde2d(projection.points, grid=grid)
+    planar = gaussian_kde2d(projection.points)
     angular = vmf_kde_angles(projection.points, kappa=kappa)
     prefix = str(out_prefix)
     gauss_path = Path(prefix + "_gaussian_kde.csv")

@@ -18,9 +18,11 @@ import argparse
 import itertools
 import json
 import logging
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +52,8 @@ EXIT_IO = 3
 EXIT_DEGENERATE = 4
 
 ABLATION_TOGGLES = ("forgetting", "annealing", "resurrect")
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _write_manifest(path: Path, payload: dict) -> None:
@@ -96,9 +100,30 @@ def _simulate_one(args_tuple):
     lines = [f"gmm.{name}={int(on)}" for name, on in overrides.items()]
     if seed is not None:
         lines.append(f"sim.seed={seed}")
-    config = sim_config_from_text("\n".join([config_text, *lines]))
-    result = run_experiment(config, out_dir=out_dir)
-    return config, result
+    return run_experiment(sim_config_from_text("\n".join([config_text, *lines])),
+                          out_dir=out_dir)
+
+
+def _simulate_pool(jobs: list, workers: int) -> list:
+    """Run grid jobs in ``workers`` spawned processes, one BLAS thread each.
+
+    Forked workers would keep the parent's BLAS thread pool and contend for
+    the cores.  A spawned worker reads the thread variables when it imports
+    numpy, so they are set while the pool runs; the caller's values are
+    restored after, since ``main`` may run inside a host process.
+    """
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=get_context("spawn")) as pool:
+            return list(pool.map(_simulate_one, jobs))
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
 
 def _check_flags(*checks) -> None:
@@ -127,13 +152,13 @@ def cmd_simulate(args) -> int:
                 jobs.append((config_text, overrides, args.seed, out_dir / name))
             info["grid_runs"] = [str(job[3]) for job in jobs]
         if args.grid and args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                results = list(pool.map(_simulate_one, jobs))
+            results = _simulate_pool(jobs, args.workers)
         else:
             results = [_simulate_one(job) for job in jobs]
-        info["config"] = sim_config_to_mapping(results[0][0])
-        info["epochs_logged"] = len(results[0][1].telemetry)  # same in every run
-        return [path for _, result in results
+        # the config as it ran: init_sim resolves gmm.total_steps
+        info["config"] = sim_config_to_mapping(results[0].state.config)
+        info["epochs_logged"] = len(results[0].telemetry)  # same in every run
+        return [path for result in results
                 for path in (result.telemetry_path, *result.snapshot_paths)]
 
     return _run_with_manifest(manifest, info, body)
@@ -216,8 +241,7 @@ def cmd_cluster_stream(args) -> int:
                      ("--epochs", args.epochs, 0),
                      ("--seed", args.seed or 0, 0))
         features = load_matrix(args.features)
-        n, dim = features.shape
-        batches_per_epoch = max(1, -(-n // args.batch_size))
+        batches_per_epoch = max(1, -(-len(features) // args.batch_size))
         config = GmmConfig(
             total_steps=max(1, args.epochs * batches_per_epoch),
             eta_start=args.eta_start,
@@ -231,9 +255,8 @@ def cmd_cluster_stream(args) -> int:
             init_variance=args.init_variance,
         )
         info["config"] = gmm_config_to_mapping(config)
-        rng = np.random.default_rng([config.rng_seed, 1])
-        state = init_mixture(args.components, dim, init_points=features,
-                             config=config, rng=rng)
+        state = init_mixture(args.components, features, config,
+                             np.random.default_rng([config.rng_seed, 1]))
         ll_rows = []
         for epoch in range(args.epochs):
             order_rng = np.random.default_rng([config.rng_seed, 2, epoch])

@@ -20,8 +20,8 @@ No other regularizer is needed to keep the decoupled mixture diverse: its
 responsibility-weighted forgetting, the step-size schedule of stepwise EM,
 keeps the components apart.
 
-All operations are pure: they return new state and never mutate their inputs.
-Arrays are float64 throughout.
+All operations are pure: they return new state and never mutate their inputs,
+and a ``MixtureState`` is frozen.  Arrays are float64 throughout.
 """
 
 from __future__ import annotations
@@ -38,6 +38,11 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 # fixed label so the split-resurrect stream is decoupled from init draws
 _SPLIT_STREAM = 7
+
+# spread_unit_vectors' repulsion: iterations, softmax sharpness, push size
+_SPREAD_ITERS = 400
+_SPREAD_SHARPNESS = 12.0
+_SPREAD_STEP = 0.35
 
 
 class DegenerateComponentError(RuntimeError):
@@ -79,29 +84,23 @@ def check_settings(config) -> None:
                 raise ConfigError(f.metadata["key"], f"must lie in {bounds}, got {v!r}")
 
 
-@dataclass(frozen=True)
-class LinearSchedule:
+def _ramp(start: float, end: float, total_steps: int, step: int) -> float:
     """Linear ramp from ``start`` to ``end`` over ``total_steps`` updates."""
-
-    start: float
-    end: float
-    total_steps: int
-
-    def at(self, step: int) -> float:
-        if self.total_steps <= 0:
-            return self.end
-        frac = min(max(step, 0), self.total_steps) / self.total_steps
-        return self.start + (self.end - self.start) * frac
+    if total_steps <= 0:
+        return end
+    return start + (end - start) * (min(max(step, 0), total_steps) / total_steps)
 
 
 @dataclass
 class GmmConfig:
     """Hyperparameters and feature toggles for the streaming mixture.
 
-    ``beta`` is the constant annealing exponent used when ``annealing`` is
-    off; with ``annealing`` on, beta ramps linearly ``anneal_start -> 1.0``
-    over ``total_steps``.  The forgetting factor ramps ``eta_start ->
-    eta_end`` over the same horizon and is evaluated once per update.
+    The config is the one source of the update's schedule.  ``beta`` is the
+    constant annealing exponent used when ``annealing`` is off; with
+    ``annealing`` on, beta ramps linearly ``anneal_start -> 1.0`` over
+    ``total_steps``.  The forgetting factor ramps ``eta_start -> eta_end``
+    over the same horizon and is evaluated once per update, so
+    ``eta_start == eta_end`` makes it constant.
     ``variance_floor`` is a constant, not a field: every state's parameters,
     a loaded checkpoint's included, are derived under it.
     """
@@ -128,11 +127,11 @@ class GmmConfig:
 
     def beta_at(self, step: int) -> float:
         if self.annealing:
-            return LinearSchedule(self.anneal_start, 1.0, self.total_steps).at(step)
+            return _ramp(self.anneal_start, 1.0, self.total_steps, step)
         return self.beta
 
     def eta_at(self, step: int) -> float:
-        return LinearSchedule(self.eta_start, self.eta_end, self.total_steps).at(step)
+        return _ramp(self.eta_start, self.eta_end, self.total_steps, step)
 
 
 @dataclass
@@ -151,10 +150,11 @@ class SufficientStats:
         return SufficientStats(self.s_pi.copy(), self.s_mu.copy(), self.s_sigma.copy())
 
 
-@dataclass
+@dataclass(frozen=True)
 class MixtureState:
     """Weights, means (the prototypes) and diagonal variances, always
     ``m_step`` of ``suffstats``; build one with ``from_stats(stats, step)``.
+    The state is frozen, so no assignment can break that.
 
     ``MixtureState(weights, means, variances, None, step)`` first seeds
     per-sample pseudo-counts, whose M-step gives back the parameters up to
@@ -172,14 +172,15 @@ class MixtureState:
     def __post_init__(self):
         if self.suffstats is None:
             w = self.weights[:, None]
-            self.suffstats = SufficientStats(
+            object.__setattr__(self, "suffstats", SufficientStats(
                 self.weights.copy(), w * self.means,
                 w * (self.variances + self.means * self.means),
-            )
+            ))
         elif any(p is not None for p in (self.weights, self.means, self.variances)):
             raise ValueError("a MixtureState takes parameters or statistics, not both")
-        self.weights, self.means, self.variances = m_step(
-            self.suffstats, GmmConfig.variance_floor)
+        params = m_step(self.suffstats, GmmConfig.variance_floor)
+        for name, value in zip(("weights", "means", "variances"), params):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_stats(cls, stats: SufficientStats, step: int) -> "MixtureState":
@@ -196,17 +197,16 @@ class MixtureState:
 
 @dataclass(frozen=True)
 class SplitEvent:
-    """Record of one split-resurrect action (or the K=1 no-op warning)."""
+    """Record of one split-resurrect action: ``dominant`` gave half of its
+    ``old_weight`` to the reborn ``resurrected``."""
 
-    kind: str  # "split" or "skipped"
-    dominant: int = -1
-    resurrected: int = -1
-    old_weight: float = 0.0
+    kind: str  # always "split"
+    dominant: int
+    resurrected: int
+    old_weight: float
 
 
-def spread_unit_vectors(k: int, d: int, rng: np.random.Generator,
-                        iters: int = 400, sharpness: float = 12.0,
-                        step: float = 0.35) -> np.ndarray:
+def spread_unit_vectors(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """Deterministically spread k unit vectors in R^d by pairwise repulsion.
 
     Starts from seeded random directions and repeatedly pushes each vector
@@ -220,47 +220,33 @@ def spread_unit_vectors(k: int, d: int, rng: np.random.Generator,
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     if k == 1:
         return v
-    for _ in range(iters):
+    for _ in range(_SPREAD_ITERS):
         g = v @ v.T
         np.fill_diagonal(g, -np.inf)
-        w = np.exp(sharpness * (g - g.max(axis=1, keepdims=True)))
+        w = np.exp(_SPREAD_SHARPNESS * (g - g.max(axis=1, keepdims=True)))
         push = (w / w.sum(axis=1, keepdims=True)) @ v
-        v = v - step * push
+        v = v - _SPREAD_STEP * push
         v /= np.linalg.norm(v, axis=1, keepdims=True)
     return v
 
 
-def init_mixture(k: int, d: int, init_points: np.ndarray | None = None,
-                 config: GmmConfig | None = None,
-                 rng: np.random.Generator | None = None) -> MixtureState:
-    """Build a fresh mixture with uniform weights and ``init_variance``.
+def init_mixture(k: int, init_points: np.ndarray, config: GmmConfig,
+                 rng: np.random.Generator) -> MixtureState:
+    """Build a fresh mixture with uniform weights and ``config.init_variance``.
 
-    Means are drawn from ``init_points`` without replacement when provided,
-    otherwise i.i.d. normal entries scaled by 1/sqrt(d) so the expected norm
-    is 1 regardless of dimension.  The statistics are the seeded pseudo-counts
-    of ``MixtureState``.
+    The means are k of the (n, D) ``init_points``, drawn by ``rng`` without
+    replacement, so D is the points' width.  The statistics are the seeded
+    pseudo-counts of ``MixtureState``.
     """
-    if k < 1 or d < 1:
-        raise ValueError(f"k and d must be positive, got k={k}, d={d}")
-    if rng is None:
-        seed = 0 if config is None else config.rng_seed
-        rng = np.random.default_rng(seed)
-    if init_points is not None:
-        pts = np.asarray(init_points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != d:
-            raise ValueError(f"init_points must be (n, {d}), got {pts.shape}")
-        if pts.shape[0] < k:
-            raise ValueError(
-                f"need at least {k} init points, got {pts.shape[0]}"
-            )
-        idx = rng.choice(pts.shape[0], size=k, replace=False)
-        means = pts[idx].copy()
-    else:
-        means = rng.standard_normal((k, d)) / np.sqrt(d)
-    weights = np.full(k, 1.0 / k)
-    init_var = 1.0 if config is None else config.init_variance
-    variances = np.full((k, d), init_var)
-    return MixtureState(weights, means, variances, None, 0)
+    pts = np.asarray(init_points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] < 1:
+        raise ValueError(f"init_points must be (n, d) with d >= 1, got {pts.shape}")
+    if not 1 <= k <= pts.shape[0]:
+        raise ValueError(f"k must lie in [1, {pts.shape[0]}], the number of "
+                         f"init points, got {k}")
+    means = pts[rng.choice(pts.shape[0], size=k, replace=False)]
+    return MixtureState(np.full(k, 1.0 / k), means,
+                        np.full(means.shape, config.init_variance), None, 0)
 
 
 def _log_densities(state: MixtureState, batch: np.ndarray) -> np.ndarray:
@@ -360,7 +346,7 @@ def batch_suffstats(batch: np.ndarray, resp: np.ndarray) -> SufficientStats:
 
 
 def forget_and_merge(old: SufficientStats, fresh: SufficientStats, eta: float,
-                     use_resp_forgetting: bool = True) -> SufficientStats:
+                     use_resp_forgetting: bool) -> SufficientStats:
     """Blend batch statistics into the persistent ones with decay eta**gamma_k.
 
     gamma_k is ``fresh.s_pi[k]``, the mean responsibility of component k over
@@ -408,8 +394,7 @@ def m_step(suffstats: SufficientStats, variance_floor: float
 
 
 def split_resurrect(state: MixtureState, threshold: float,
-                    rng: np.random.Generator,
-                    init_variance: float = GmmConfig.init_variance
+                    rng: np.random.Generator, init_variance: float
                     ) -> tuple[MixtureState, list[SplitEvent]]:
     """Halve each over-threshold component's mass into a reborn lightest one.
 
@@ -423,7 +408,8 @@ def split_resurrect(state: MixtureState, threshold: float,
     carries it forward: the dominant's count and moments are halved (its mean
     and variance are unchanged) and the reborn component's are replaced by the
     other half of the count with the moments of its new mean and variance.
-    The returned parameters are ``m_step`` of the edited statistics.
+    The returned parameters are ``m_step`` of the edited statistics.  A lone
+    component has no other to resurrect: it is returned as is, with no event.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
@@ -431,12 +417,8 @@ def split_resurrect(state: MixtureState, threshold: float,
     weights = state.weights.copy()
     dominant = [int(i) for i in np.argsort(-weights, kind="stable")
                 if weights[i] > threshold]
-    if not dominant:
+    if not dominant or state.k == 1:
         return state, events
-    if state.k == 1:
-        logger.warning("split_resurrect: single component, nothing to resurrect")
-        return state, [SplitEvent(kind="skipped", dominant=0,
-                                  old_weight=float(weights[0]))]
     means = state.means.copy()
     stats = state.suffstats.copy()
     for k in dominant:
@@ -460,14 +442,14 @@ def split_resurrect(state: MixtureState, threshold: float,
     return MixtureState.from_stats(stats, state.step), events
 
 
-def gmm_update(state: MixtureState, batch: np.ndarray, config: GmmConfig,
-               beta: float | None = None, eta: float | None = None
+def gmm_update(state: MixtureState, batch: np.ndarray, config: GmmConfig
                ) -> MixtureUpdate:
     """One full streaming update: E-step, statistics blend, M-step, split.
 
-    ``beta`` and ``eta`` default to the config schedules evaluated at the
-    current step.  The split-resurrect draw is seeded from (config seed,
-    step), so trajectories are bitwise reproducible.  The batch's
+    ``beta`` and ``eta`` are the config's schedules at the current step; a
+    constant schedule is a config too (``annealing=False`` with ``beta``, and
+    ``eta_start == eta_end``).  The split-resurrect draw is seeded from
+    (config seed, step), so trajectories are bitwise reproducible.  The batch's
     pre-update log-likelihood is computed only if the returned record is
     asked for it.
     """
@@ -476,14 +458,11 @@ def gmm_update(state: MixtureState, batch: np.ndarray, config: GmmConfig,
         raise ValueError(f"batch must be non-empty, got {batch.shape}")
     if not np.all(np.isfinite(batch)):
         raise ValueError("batch contains non-finite entries")
-    if beta is None:
-        beta = config.beta_at(state.step)
-    if eta is None:
-        eta = config.eta_at(state.step)
     log_w = _log_weights(state)
     log_dens = _log_densities(state, batch)
-    resp = _responsibilities(log_w, log_dens, beta)
-    stats = forget_and_merge(state.suffstats, batch_suffstats(batch, resp), eta,
+    resp = _responsibilities(log_w, log_dens, config.beta_at(state.step))
+    stats = forget_and_merge(state.suffstats, batch_suffstats(batch, resp),
+                             config.eta_at(state.step),
                              config.responsibility_forgetting)
     new_state = MixtureState.from_stats(stats, state.step + 1)
     if config.resurrect:
@@ -492,9 +471,8 @@ def gmm_update(state: MixtureState, batch: np.ndarray, config: GmmConfig,
             new_state, config.resurrect_threshold, rng, config.init_variance,
         )
         for ev in events:
-            if ev.kind == "split":
-                logger.info(
-                    "split step %d: component %d (weight %.4f) -> resurrect %d",
-                    new_state.step, ev.dominant, ev.old_weight, ev.resurrected,
-                )
+            logger.info(
+                "split step %d: component %d (weight %.4f) -> resurrect %d",
+                new_state.step, ev.dominant, ev.old_weight, ev.resurrected,
+            )
     return MixtureUpdate(new_state, log_w, log_dens)

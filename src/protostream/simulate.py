@@ -254,8 +254,7 @@ def init_sim(cfg: SimConfig) -> tuple[SimState, Dataset]:
             gmm = replace(gmm, total_steps=max(1, cfg.epochs * steps_per_epoch))
         gmm = replace(gmm, rng_seed=cfg.seed)
         cfg = replace(cfg, gmm=gmm)
-        mixture = init_mixture(cfg.n_prototypes, cfg.latent_dim,
-                               init_points=protos, config=gmm, rng=proto_rng)
+        mixture = init_mixture(cfg.n_prototypes, protos, gmm, proto_rng)
         protos = mixture.means
     return SimState(cfg, student, teacher, protos, mixture), dataset
 

@@ -3,6 +3,8 @@
 Everything here is deliberately written as straight-line scalar loops over
 plain arrays and imports nothing from the production package, so agreement
 between an oracle and the library is meaningful evidence of correctness.
+The one exception, ``random_mixture``, is a fixture rather than an oracle: it
+draws random parameters and hands them to the package's state constructor.
 Sizes are expected to stay small (K, D <= 16, N <= 512); the greedy
 partition also runs on a few hundred rows of low dimension.
 """
@@ -307,3 +309,13 @@ def oracle_read_matrix_csv(text):
         if not all(math.isfinite(v) for v in values):
             raise OracleCsvError("non-finite", lineno, at)
     return np.array(rows, dtype=np.float64)
+
+
+def random_mixture(k, d, rng, init_variance=1.0):
+    """A fresh mixture with uniform weights, variances ``init_variance`` and
+    i.i.d. normal means scaled by 1/sqrt(d), so the expected norm is about 1."""
+    from protostream.mixture import MixtureState
+
+    means = rng.standard_normal((k, d)) / np.sqrt(d)
+    return MixtureState(np.full(k, 1.0 / k), means, np.full((k, d), init_variance),
+                        None, 0)

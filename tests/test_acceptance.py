@@ -112,13 +112,13 @@ class TestAcceptance:
         labels = rng.integers(0, k, size=n)
         batch = centers[labels] + 0.1 * rng.standard_normal((n, d))
         init_points = centers + 0.05 * rng.standard_normal((k, d))
-        config = toggles_off_config()
-        state = init_mixture(k, d, init_points=init_points, config=config,
-                             rng=np.random.default_rng(100))
+        # full replacement: each update is one batch EM iteration
+        config = toggles_off_config(eta_start=0.0, eta_end=0.0)
+        state = init_mixture(k, init_points, config, np.random.default_rng(100))
         w0, m0, v0 = (state.weights.copy(), state.means.copy(),
                       state.variances.copy())
         for _ in range(25):
-            state = gmm_update(state, batch, config, beta=1.0, eta=0.0).state
+            state = gmm_update(state, batch, config).state
         ow, om, ov = oracles.oracle_em_run(batch, w0, m0, v0, 25)
         diff = max(np.abs(state.weights - ow).max(),
                    np.abs(state.means - om).max(),
@@ -233,7 +233,7 @@ class TestAcceptance:
         rng = np.random.default_rng(7)
         config = GmmConfig(total_steps=1000, rng_seed=3)
         k, d = 8, 4
-        base = init_mixture(k, d, rng=rng)
+        base = oracles.random_mixture(k, d, rng)
         # park one component far away so it draws exactly zero responsibility
         means = base.means.copy()
         means[5] = 1e6
@@ -272,11 +272,12 @@ class TestAcceptance:
                       f"checks {frozen_checked}")
 
     def test_07_split_resurrect_contract(self):
-        base = init_mixture(3, 5, rng=np.random.default_rng(0))
+        base = oracles.random_mixture(3, 5, np.random.default_rng(0))
         state = MixtureState(np.array([0.4, 0.35, 0.25]), base.means,
                              base.variances, None, 0)
         before = copy.deepcopy(state)
-        new_state, events = split_resurrect(state, 0.3, np.random.default_rng(9))
+        new_state, events = split_resurrect(state, 0.3, np.random.default_rng(9),
+                                            1.0)
         splits = [e for e in events if e.kind == "split"]
         first = splits[0]
         halves_ok = (first.dominant == 0 and first.resurrected == 2

@@ -8,7 +8,6 @@ from scipy.special import i0, i0e
 from protostream import analysis
 from protostream.analysis import (
     DegenerateRankError,
-    GridSpec2D,
     export_prototype_kde,
     gaussian_kde2d,
     pca_project,
@@ -82,47 +81,48 @@ class TestPcaProject:
 
 class TestGaussianKde2d:
     def test_single_point_peak(self):
-        kde = gaussian_kde2d(np.array([[0.3, -0.4]]), bandwidth=0.2)
+        # one point has no spread, so no Scott width: a small cluster around it
+        rng = np.random.default_rng(4)
+        pts = np.array([0.3, -0.4]) + 0.05 * rng.standard_normal((20, 2))
+        kde = gaussian_kde2d(pts)
         yi, xi = np.unravel_index(kde.density.argmax(), kde.density.shape)
         assert abs(kde.x[xi] - 0.3) < 0.05
         assert abs(kde.y[yi] + 0.4) < 0.05
 
     def test_mirror_symmetry(self):
-        pts = np.array([[0.5, 0.0], [-0.5, 0.0]])
-        kde = gaussian_kde2d(pts, bandwidth=0.3)
+        # a set closed under x -> -x, with spread on both axes
+        pts = np.array([[0.5, 0.1], [-0.5, 0.1], [0.5, -0.2], [-0.5, -0.2]])
+        kde = gaussian_kde2d(pts)
+        assert kde.density.max() > 0.1
         np.testing.assert_allclose(kde.density, kde.density[:, ::-1], atol=1e-12)
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-1, 1, size=(20, 2))
-        grid = GridSpec2D(n=16)
-        kde = gaussian_kde2d(pts, grid=grid, bandwidth=(0.25, 0.35))
+        kde = gaussian_kde2d(pts)
         want = oracles.oracle_gaussian_kde2d(
-            pts.tolist(), kde.x.tolist(), kde.y.tolist(), 0.25, 0.35
+            pts.tolist(), kde.x.tolist(), kde.y.tolist(), *kde.bandwidth
         )
         np.testing.assert_allclose(kde.density, want, atol=1e-12)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(6)
         pts = rng.uniform(-1, 1, size=(15, 2))
-        a = gaussian_kde2d(pts, bandwidth=0.2)
-        b = gaussian_kde2d(pts[::-1], bandwidth=0.2)
+        a = gaussian_kde2d(pts)
+        b = gaussian_kde2d(pts[::-1])
         np.testing.assert_allclose(a.density, b.density, atol=1e-12)
 
     def test_matches_three_dimensional_sum(self):
         # the separable product against the direct (n, n, K) kernel sum
         rng = np.random.default_rng(12)
         pts = rng.uniform(-1, 1, size=(500, 2))
-        kde = gaussian_kde2d(pts, bandwidth=(0.05, 0.08))
-        dx = (kde.x[None, :, None] - pts[None, None, :, 0]) / 0.05
-        dy = (kde.y[:, None, None] - pts[None, None, :, 1]) / 0.08
+        kde = gaussian_kde2d(pts)
+        bw_x, bw_y = kde.bandwidth
+        dx = (kde.x[None, :, None] - pts[None, None, :, 0]) / bw_x
+        dy = (kde.y[:, None, None] - pts[None, None, :, 1]) / bw_y
         want = np.exp(-0.5 * (dx * dx + dy * dy)).sum(axis=2)
-        want /= 500 * 2.0 * np.pi * 0.05 * 0.08
+        want /= 500 * 2.0 * np.pi * bw_x * bw_y
         np.testing.assert_allclose(kde.density, want, rtol=1e-12, atol=0)
-
-    def test_bad_bandwidth(self):
-        with pytest.raises(ValueError):
-            gaussian_kde2d(np.zeros((3, 2)), bandwidth=0.0)
 
     def test_default_bandwidth_recorded(self):
         rng = np.random.default_rng(7)

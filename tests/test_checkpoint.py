@@ -18,7 +18,7 @@ from protostream.checkpoint import (
     write_csv,
     write_matrix_csv,
 )
-from protostream.mixture import GmmConfig, gmm_update, init_mixture, m_step
+from protostream.mixture import GmmConfig, gmm_update, m_step
 
 import oracles
 
@@ -26,7 +26,7 @@ import oracles
 def trained_state(seed=0, steps=5, k=4, d=3):
     rng = np.random.default_rng(seed)
     config = GmmConfig(total_steps=steps, rng_seed=seed)
-    state = init_mixture(k, d, rng=rng)
+    state = oracles.random_mixture(k, d, rng)
     for _ in range(steps):
         state = gmm_update(state, rng.standard_normal((32, d)), config).state
     return state
@@ -49,7 +49,8 @@ class TestBinaryRoundTrip:
 
     def test_step_zero_state_reloads_as_held(self, tmp_path):
         config = GmmConfig(init_variance=1.0 / 64.0)
-        state = init_mixture(1024, 64, config=config, rng=np.random.default_rng(0))
+        state = oracles.random_mixture(1024, 64, np.random.default_rng(0),
+                                       config.init_variance)
         path = tmp_path / "step0.ckpt"
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
@@ -58,7 +59,7 @@ class TestBinaryRoundTrip:
             assert got.tobytes() == want.tobytes()
 
     def test_fresh_state_round_trip(self, tmp_path):
-        state = init_mixture(3, 2, rng=np.random.default_rng(1))
+        state = oracles.random_mixture(3, 2, np.random.default_rng(1))
         path = tmp_path / "fresh.ckpt"
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)

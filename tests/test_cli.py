@@ -2,6 +2,7 @@ import ast
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -13,12 +14,13 @@ import pytest
 from protostream.checkpoint import (
     load_checkpoint, read_matrix_csv, write_csv, write_matrix_csv,
 )
-from protostream.cli import main
+from protostream.cli import BLAS_THREAD_VARS, main
 from protostream.collapse import (
     DEFAULT_EPSILON_GRID, angular_stats, epsilon_sweep, normalize_rows,
 )
-from protostream.datagen import shuffled_batches
+from protostream.datagen import make_dataset, shuffled_batches
 from protostream.mixture import GmmConfig, gmm_update, init_mixture, log_likelihood
+from protostream.simulate import sim_config_from_text
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -100,6 +102,19 @@ class TestSimulate:
         assert manifest["status"] == "ok"
         assert manifest["config"]["sim.regime"] == "decoupled"
 
+    def test_manifest_records_resolved_horizon(self, tmp_path):
+        # gmm.total_steps=0 asks the run to ramp over all of its updates
+        config = sim_config_from_text(BASE_CONFIG)
+        assert config.gmm.total_steps == 0
+        n_train = make_dataset(config.data,
+                               np.random.default_rng([config.seed, 0])).x_train.shape[0]
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(write_config(tmp_path)),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        want = config.epochs * math.ceil(n_train / config.batch_size)
+        assert manifest["config"]["gmm.total_steps"] == str(want)
+
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "sim.regym=decoupled\n")
         out = tmp_path / "run"
@@ -115,13 +130,19 @@ class TestSimulate:
         assert code == 3
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_grid_creates_eight_runs(self, tmp_path, serial_grid, workers):
+    def test_grid_creates_eight_runs(self, tmp_path, serial_grid, workers,
+                                     monkeypatch):
+        # the pool pins its workers' BLAS threads, then restores the caller's
+        monkeypatch.setenv(BLAS_THREAD_VARS[0], "3")
+        monkeypatch.delenv(BLAS_THREAD_VARS[1], raising=False)
+        before = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
         out = run_grid(tmp_path, workers)
+        assert {var: os.environ.get(var) for var in BLAS_THREAD_VARS} == before
         subdirs = [p for p in out.iterdir() if p.is_dir()]
         assert len(subdirs) == 8
         for sub in subdirs:
             assert (sub / "telemetry.csv").exists()
-        # forked workers write the same bytes as one process
+        # worker processes write the same bytes as one process
         assert grid_artifacts(out) == serial_grid
         # the manifest lists every file the grid wrote, snapshots included
         manifest = json.loads((out / "manifest.json").read_text())
@@ -406,8 +427,7 @@ class TestClusterStream:
         # the same run, with the log-likelihood evaluated before each update
         points = read_matrix_csv(features)
         config = GmmConfig(total_steps=3 * 6, rng_seed=6, resurrect_threshold=0.25)
-        state = init_mixture(5, 3, init_points=points, config=config,
-                             rng=np.random.default_rng([6, 1]))
+        state = init_mixture(5, points, config, np.random.default_rng([6, 1]))
         rows = []
         for epoch in range(3):
             order_rng = np.random.default_rng([6, 2, epoch])
@@ -419,6 +439,17 @@ class TestClusterStream:
         assert (tmp_path / "m.ckpt.loglik.csv").read_bytes() == replay.read_bytes()
         saved = load_checkpoint(out).suffstats
         assert saved.s_mu.tobytes() == state.suffstats.s_mu.tobytes()
+
+    def test_single_component_writes_no_warning(self, tmp_path):
+        # a lone component has nothing to split: no line per update
+        features, _ = cluster_file(tmp_path)
+        done = subprocess.run(
+            [sys.executable, "-m", "protostream", "cluster-stream",
+             "--features", str(features), "--out", str(tmp_path / "m.ckpt"),
+             "-k", "1", "--epochs", "5"],
+            env=python_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
 
     def test_log_level_info_prints_splits(self, tmp_path):
         features, _ = cluster_file(tmp_path)

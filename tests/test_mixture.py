@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import logging
 
 import numpy as np
@@ -31,9 +32,23 @@ def toggles_off(**kw):
     return GmmConfig(**base)
 
 
+class TestSchedule:
+    @pytest.mark.parametrize("total_steps", [0, 1, 50])
+    def test_constant_schedule_is_exact(self, total_steps):
+        # the form tests use in place of per-call beta and eta
+        for beta, eta in ((0.5, 0.0), (1.0, 0.995), (0.3, 0.1)):
+            config = GmmConfig(total_steps=total_steps, annealing=False, beta=beta,
+                               eta_start=eta, eta_end=eta)
+            for step in (-2, 0, 1, 7, 49, 50, 51, 10**6):
+                assert config.beta_at(step) == beta
+                assert config.eta_at(step) == eta
+
+
 class TestInitMixture:
     def test_uniform_weights(self):
-        state = init_mixture(4, 2, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        state = init_mixture(4, rng.standard_normal((4, 2)) / np.sqrt(2),
+                             GmmConfig(), rng)
         assert np.array_equal(state.weights, np.full(4, 0.25))
         assert state.variances.shape == (4, 2)
         assert np.all(state.variances == 1.0)
@@ -48,66 +63,67 @@ class TestInitMixture:
 
     def test_means_sampled_without_replacement(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-        state = init_mixture(2, 2, init_points=pts, rng=np.random.default_rng(1))
+        state = init_mixture(2, pts, GmmConfig(), np.random.default_rng(1))
         got = {tuple(row) for row in state.means}
         assert got == {(0.0, 0.0), (1.0, 1.0)}
 
     def test_too_few_points_rejected(self):
         pts = np.zeros((2, 3))
         with pytest.raises(ValueError):
-            init_mixture(3, 3, init_points=pts, rng=np.random.default_rng(2))
+            init_mixture(3, pts, GmmConfig(), np.random.default_rng(2))
 
     def test_bad_dims_rejected(self):
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            init_mixture(0, 3)
+            init_mixture(0, np.zeros((3, 3)), GmmConfig(), rng)
         with pytest.raises(ValueError):
-            init_mixture(3, 0)
+            init_mixture(3, np.zeros((3, 0)), GmmConfig(), rng)
 
     def test_published_parameters_are_m_step_of_seeded_stats(self):
         config = GmmConfig(init_variance=1.0 / 64.0)
-        state = init_mixture(1024, 64, config=config, rng=np.random.default_rng(0))
+        state = oracles.random_mixture(1024, 64, np.random.default_rng(0),
+                                       config.init_variance)
         derived = m_step(state.suffstats, GmmConfig.variance_floor)
         for got, want in zip((state.weights, state.means, state.variances),
                              derived):
             assert got.tobytes() == want.tobytes()
 
     def test_parameters_with_statistics_refused(self):
-        state = init_mixture(3, 2, rng=np.random.default_rng(0))
+        state = oracles.random_mixture(3, 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="not both"):
             MixtureState(state.weights, state.means, state.variances,
                          state.suffstats, 0)
 
-    def test_random_means_scale(self):
-        state = init_mixture(200, 64, rng=np.random.default_rng(3))
-        norms = np.linalg.norm(state.means, axis=1)
-        assert 0.8 < norms.mean() < 1.2
+    def test_state_is_frozen(self):
+        state = oracles.random_mixture(3, 2, np.random.default_rng(0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.means = np.zeros((3, 2))
 
 
 class TestEStep:
     def test_single_component(self):
-        state = init_mixture(1, 3, rng=np.random.default_rng(0))
+        state = oracles.random_mixture(1, 3, np.random.default_rng(0))
         resp = e_step(state, np.array([[0.3, -1.0, 2.0]]), beta=1.0)
         assert resp.shape == (1, 1)
         assert resp[0, 0] == 1.0
 
     def test_identical_components_split_evenly(self):
-        state = init_mixture(2, 2, rng=np.random.default_rng(0))
-        state.means = np.zeros((2, 2))
+        state = MixtureState(np.full(2, 0.5), np.zeros((2, 2)), np.ones((2, 2)),
+                             None, 0)
         resp = e_step(state, np.array([[5.0, -3.0]]), beta=1.0)
         np.testing.assert_allclose(resp[0], [0.5, 0.5], atol=1e-12)
 
     def test_beta_zero_returns_prior(self):
-        state = init_mixture(2, 2, rng=np.random.default_rng(0))
-        state.weights = np.array([0.7, 0.3])
+        base = oracles.random_mixture(2, 2, np.random.default_rng(0))
+        state = MixtureState(np.array([0.7, 0.3]), base.means, base.variances,
+                             None, 0)
         resp = e_step(state, np.array([[9.0, 9.0], [0.0, 0.1]]), beta=0.0)
         np.testing.assert_allclose(resp, [[0.7, 0.3], [0.7, 0.3]], atol=1e-12)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(42)
-        state = init_mixture(3, 4, rng=rng)
-        state.weights = np.array([0.5, 0.2, 0.3])
-        state.means = rng.standard_normal((3, 4))
-        state.variances = rng.uniform(0.3, 1.5, size=(3, 4))
+        state = MixtureState(np.array([0.5, 0.2, 0.3]), rng.standard_normal((3, 4)),
+                             rng.uniform(0.3, 1.5, size=(3, 4)), None, 0)
         point = rng.standard_normal((1, 4))
         got = e_step(state, point, beta=0.8)
         want = oracles.oracle_responsibilities(
@@ -117,19 +133,20 @@ class TestEStep:
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
-        state = init_mixture(5, 3, rng=rng)
-        state.means = rng.standard_normal((5, 3)) * 3
+        state = MixtureState(np.full(5, 0.2), rng.standard_normal((5, 3)) * 3,
+                             np.ones((5, 3)), None, 0)
         resp = e_step(state, rng.standard_normal((64, 3)), beta=1.0)
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-9)
 
     def test_dimension_mismatch(self):
-        state = init_mixture(2, 3, rng=np.random.default_rng(0))
+        state = oracles.random_mixture(2, 3, np.random.default_rng(0))
         with pytest.raises(ValueError):
             e_step(state, np.zeros((4, 2)), beta=1.0)
 
     def test_no_underflow_for_distant_points(self):
-        state = init_mixture(3, 8, rng=np.random.default_rng(0))
-        state.variances[:] = 1e-4
+        base = oracles.random_mixture(3, 8, np.random.default_rng(0))
+        state = MixtureState(base.weights, base.means, np.full((3, 8), 1e-4),
+                             None, 0)
         batch = np.full((2, 8), 50.0)
         resp = e_step(state, batch, beta=1.0)
         assert np.all(np.isfinite(resp))
@@ -151,7 +168,7 @@ class TestBatchSuffstats:
 
     def test_total_count_is_one(self):
         rng = np.random.default_rng(5)
-        state = init_mixture(5, 4, rng=rng)
+        state = oracles.random_mixture(5, 4, rng)
         batch = rng.standard_normal((8, 4))
         resp = e_step(state, batch, beta=1.0)
         stats = batch_suffstats(batch, resp)
@@ -192,7 +209,8 @@ class TestForgetAndMerge:
         batch = rng.standard_normal((6, 2))
         resp = e_step(state, batch, beta=1.0)
         fresh = batch_suffstats(batch, resp)
-        merged = forget_and_merge(state.suffstats, fresh, eta=0.0)
+        merged = forget_and_merge(state.suffstats, fresh, eta=0.0,
+                                  use_resp_forgetting=True)
         np.testing.assert_array_equal(merged.s_pi, fresh.s_pi)
         np.testing.assert_array_equal(merged.s_mu, fresh.s_mu)
 
@@ -205,7 +223,8 @@ class TestForgetAndMerge:
         resp[:, 0] = 0.25
         resp[:, 2] = 0.75
         fresh = batch_suffstats(batch, resp)
-        merged = forget_and_merge(state.suffstats, fresh, eta=0.4)
+        merged = forget_and_merge(state.suffstats, fresh, eta=0.4,
+                                  use_resp_forgetting=True)
         same = (
             merged.s_pi[1].tobytes() == state.suffstats.s_pi[1].tobytes()
             and merged.s_mu[1].tobytes() == state.suffstats.s_mu[1].tobytes()
@@ -218,7 +237,7 @@ class TestForgetAndMerge:
         old = SufficientStats(np.array([2.0]), np.array([[2.0]]), np.array([[2.0]]))
         # per-sample count 1: the one component took every sample
         fresh = SufficientStats(np.array([1.0]), np.array([[4.0]]), np.array([[4.0]]))
-        merged = forget_and_merge(old, fresh, eta=0.5)
+        merged = forget_and_merge(old, fresh, eta=0.5, use_resp_forgetting=True)
         np.testing.assert_allclose(merged.s_pi, [1.5])
         np.testing.assert_allclose(merged.s_mu, [[3.0]])
 
@@ -240,7 +259,8 @@ class TestForgetAndMerge:
         resp = e_step(state, batch, beta=1.0)
         fresh = batch_suffstats(batch, resp)
         with pytest.raises(ValueError):
-            forget_and_merge(state.suffstats, fresh, eta=1.5)
+            forget_and_merge(state.suffstats, fresh, eta=1.5,
+                             use_resp_forgetting=True)
 
 
 class TestMStep:
@@ -290,11 +310,12 @@ class TestMStep:
 
 class TestSplitResurrect:
     def test_fixture_split(self):
-        base = init_mixture(3, 4, rng=np.random.default_rng(0))
+        base = oracles.random_mixture(3, 4, np.random.default_rng(0))
         state = MixtureState(np.array([0.4, 0.35, 0.25]), base.means,
                              base.variances, None, 0)
         before = copy.deepcopy(state)
-        new_state, events = split_resurrect(state, 0.3, np.random.default_rng(1))
+        new_state, events = split_resurrect(state, 0.3, np.random.default_rng(1),
+                                            1.0)
         splits = [e for e in events if e.kind == "split"]
         assert splits[0].dominant == 0
         assert splits[0].resurrected == 2
@@ -307,25 +328,31 @@ class TestSplitResurrect:
         np.testing.assert_allclose(new_state.variances[2], np.ones(4), atol=1e-12)
 
     def test_nothing_over_threshold(self):
-        state = init_mixture(5, 2, rng=np.random.default_rng(0))
-        new_state, events = split_resurrect(state, 0.3, np.random.default_rng(1))
+        state = oracles.random_mixture(5, 2, np.random.default_rng(0))
+        new_state, events = split_resurrect(state, 0.3, np.random.default_rng(1),
+                                            1.0)
         assert events == []
         np.testing.assert_array_equal(new_state.weights, state.weights)
         np.testing.assert_array_equal(new_state.means, state.means)
 
-    def test_single_component_noop(self):
-        state = init_mixture(1, 2, rng=np.random.default_rng(0))
-        new_state, events = split_resurrect(state, 0.3, np.random.default_rng(1))
-        assert len(events) == 1 and events[0].kind == "skipped"
-        np.testing.assert_array_equal(new_state.weights, [1.0])
+    def test_single_component_noop(self, caplog):
+        # a lone component has no other to resurrect: no event and no log line
+        state = oracles.random_mixture(1, 2, np.random.default_rng(0))
+        with caplog.at_level(logging.DEBUG, logger="protostream.mixture"):
+            new_state, events = split_resurrect(state, 0.3,
+                                                np.random.default_rng(1), 1.0)
+        assert events == []
+        assert new_state is state
+        assert not caplog.records
 
     def test_resurrected_norm_matches_mean_norm(self):
         rng = np.random.default_rng(3)
-        base = init_mixture(4, 6, rng=rng)
+        base = oracles.random_mixture(4, 6, rng)
         state = MixtureState(np.array([0.7, 0.1, 0.1, 0.1]), base.means,
                              base.variances, None, 0)
         target = np.linalg.norm(state.means, axis=1).mean()
-        new_state, events = split_resurrect(state, 0.3, np.random.default_rng(4))
+        new_state, events = split_resurrect(state, 0.3, np.random.default_rng(4),
+                                            1.0)
         j = events[0].resurrected
         assert np.linalg.norm(new_state.means[j]) == pytest.approx(target)
 
@@ -366,10 +393,10 @@ def separated_batch(rng, k, d, n, spread=0.05):
 class TestGmmUpdate:
     def test_first_update_is_one_em_step(self):
         rng = np.random.default_rng(0)
-        config = toggles_off()
-        state = init_mixture(3, 2, rng=rng)
+        config = toggles_off(eta_start=0.0, eta_end=0.0)
+        state = oracles.random_mixture(3, 2, rng)
         batch = rng.standard_normal((12, 2))
-        new_state = gmm_update(state, batch, config, beta=1.0, eta=0.0).state
+        new_state = gmm_update(state, batch, config).state
         assert new_state.step == 1
         ow, om, ov = oracles.oracle_em_step(batch, state.weights, state.means,
                                             state.variances)
@@ -380,15 +407,14 @@ class TestGmmUpdate:
     def test_matches_batch_em(self):
         rng = np.random.default_rng(1234)
         batch, _ = separated_batch(rng, k=4, d=3, n=128)
-        config = toggles_off()
-        state = init_mixture(4, 3, init_points=batch, config=config,
-                             rng=np.random.default_rng(5))
+        config = toggles_off(eta_start=0.0, eta_end=0.0)
+        state = init_mixture(4, batch, config, np.random.default_rng(5))
         start = state.weights, state.means, state.variances
         # with full replacement each streaming update is one classical EM
         # iteration on the batch; checking every step pins the count, since
         # the fixture converges long before the last one
         for t in range(1, 21):
-            state = gmm_update(state, batch, config, beta=1.0, eta=0.0).state
+            state = gmm_update(state, batch, config).state
             ow, om, ov = oracles.oracle_em_run(batch, *start, t)
             np.testing.assert_allclose(state.weights, ow, rtol=0, atol=1e-10)
             np.testing.assert_allclose(state.means, om, rtol=0, atol=1e-10)
@@ -400,8 +426,7 @@ class TestGmmUpdate:
         config = GmmConfig(rng_seed=11, total_steps=50)
 
         def run():
-            state = init_mixture(3, 4, init_points=batch, config=config,
-                                 rng=np.random.default_rng(7))
+            state = init_mixture(3, batch, config, np.random.default_rng(7))
             for _ in range(10):
                 state = gmm_update(state, batch, config).state
             return state
@@ -413,7 +438,7 @@ class TestGmmUpdate:
 
     def test_rejects_nonfinite(self):
         config = toggles_off()
-        state = init_mixture(2, 2, rng=np.random.default_rng(0))
+        state = oracles.random_mixture(2, 2, np.random.default_rng(0))
         batch = np.array([[1.0, np.nan]])
         with pytest.raises(ValueError):
             gmm_update(state, batch, config)
@@ -421,7 +446,7 @@ class TestGmmUpdate:
     def test_input_state_not_mutated(self):
         rng = np.random.default_rng(4)
         config = GmmConfig(total_steps=10)
-        state = init_mixture(3, 2, rng=rng)
+        state = oracles.random_mixture(3, 2, rng)
         w, m, v = (state.weights.copy(), state.means.copy(), state.variances.copy())
         batch = rng.standard_normal((8, 2))
         gmm_update(state, batch, config)
@@ -439,8 +464,7 @@ class TestFusedUpdate:
     def trained(config, steps=5):
         rng = np.random.default_rng(21)
         batch, _ = separated_batch(rng, k=5, d=4, n=96)
-        state = init_mixture(6, 4, init_points=batch, config=config,
-                             rng=np.random.default_rng(8))
+        state = init_mixture(6, batch, config, np.random.default_rng(8))
         for _ in range(steps):
             state = gmm_update(state, batch, config).state
         return state, rng.permutation(batch)[:40]
@@ -449,7 +473,8 @@ class TestFusedUpdate:
     def test_record_log_likelihood_is_bitwise_the_public_one(self, beta):
         config = GmmConfig(total_steps=20, rng_seed=4)
         state, batch = self.trained(config)
-        update = gmm_update(state, batch, config, beta=beta)
+        constant = dataclasses.replace(config, annealing=False, beta=beta)
+        update = gmm_update(state, batch, constant)
         want = log_likelihood(state, batch)
         assert np.float64(update.log_likelihood()).tobytes() == np.float64(want).tobytes()
         assert update.log_densities.shape == (40, 6)
@@ -476,7 +501,7 @@ class TestFusedUpdate:
         config = toggles_off()
         state, batch = self.trained(config, steps=0)
         with pytest.raises(ValueError, match="beta"):
-            gmm_update(state, batch, config, beta=1.5)
+            e_step(state, batch, 1.5)
 
     def test_rejects_wrong_dimension(self):
         config = toggles_off()
@@ -491,7 +516,7 @@ class TestRegularizersPersist:
     def test_one_cluster_split_survives_next_update(self, caplog):
         rng = np.random.default_rng(0)
         config = GmmConfig(total_steps=100, rng_seed=0)
-        state = init_mixture(8, 4, rng=np.random.default_rng(100))
+        state = oracles.random_mixture(8, 4, np.random.default_rng(100))
         with caplog.at_level(logging.INFO, logger="protostream.mixture"):
             for _ in range(100):
                 state = gmm_update(state, 0.1 * rng.standard_normal((64, 4)),
@@ -516,7 +541,7 @@ class TestInvariants:
     def test_simplex_and_floor_under_fuzz(self):
         rng = np.random.default_rng(99)
         config = GmmConfig(total_steps=200, rng_seed=5)
-        state = init_mixture(6, 3, rng=rng)
+        state = oracles.random_mixture(6, 3, rng)
         for i in range(200):
             batch = rng.standard_normal((16, 3)) * rng.uniform(0.5, 2.0)
             resp = e_step(state, batch, config.beta_at(state.step))
@@ -529,16 +554,13 @@ class TestInvariants:
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(12)
-        state = small_state_with_stats(rng, k=4, d=3)
-        state.means = rng.standard_normal((4, 3))
-        state.weights = rng.dirichlet(np.ones(4))
+        variances = small_state_with_stats(rng, k=4, d=3).variances
+        means = rng.standard_normal((4, 3))
+        weights = rng.dirichlet(np.ones(4))
         batch = rng.standard_normal((10, 3))
         perm = np.array([2, 0, 3, 1])
-        permuted = MixtureState(
-            state.weights[perm], state.means[perm], state.variances[perm],
-            None, 0,
-        )
-        base = MixtureState(state.weights, state.means, state.variances, None, 0)
+        permuted = MixtureState(weights[perm], means[perm], variances[perm], None, 0)
+        base = MixtureState(weights, means, variances, None, 0)
         r1 = e_step(base, batch, beta=0.9)
         r2 = e_step(permuted, batch, beta=0.9)
         np.testing.assert_allclose(r2, r1[:, perm], rtol=1e-13, atol=1e-15)
@@ -559,10 +581,10 @@ class TestInvariants:
         rng = np.random.default_rng(21)
         for trial in range(50):
             k = int(rng.integers(2, 8))
-            base = init_mixture(k, 3, rng=rng)
+            base = oracles.random_mixture(k, 3, rng)
             state = MixtureState(rng.dirichlet(np.ones(k) * 0.3), base.means,
                                  base.variances, None, 0)
-            new_state, events = split_resurrect(state, 0.3, rng)
+            new_state, events = split_resurrect(state, 0.3, rng, 1.0)
             assert abs(new_state.weights.sum() - 1.0) < 1e-9
             if any(e.kind == "split" for e in events):
                 assert new_state.weights.max() < state.weights.max()
@@ -584,7 +606,7 @@ def _invariant_stream(k, d, threshold, toggles, seed, steps):
                        responsibility_forgetting=forgetting, annealing=annealing,
                        resurrect=resurrect)
     rng = np.random.default_rng(seed)
-    state = init_mixture(k, d, rng=rng)
+    state = oracles.random_mixture(k, d, rng)
     centers = 3.0 * rng.standard_normal((int(rng.integers(1, 4)), d))
     for update in range(steps + 1):
         # update 0 checks the state as built, before its first update

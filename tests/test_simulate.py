@@ -317,8 +317,8 @@ class TestPrototypeStepDecoupled:
         config = GmmConfig(total_steps=epochs * (n // batch + 1), rng_seed=0,
                            annealing=False, responsibility_forgetting=False,
                            resurrect=False)
-        state = init_mixture(n_classes, latent_dim, init_points=center_latents,
-                             config=config, rng=np.random.default_rng(6))
+        state = init_mixture(n_classes, center_latents, config,
+                             np.random.default_rng(6))
         w0, m0, v0 = state.weights.copy(), state.means.copy(), state.variances.copy()
         for epoch in range(epochs):
             order = rng.permutation(n)
