@@ -219,11 +219,9 @@ def vmf_kde_angles(points2d: np.ndarray, kappa: float = 20.0,
 
 
 def export_prototype_kde(rows: np.ndarray, out_prefix: str | Path,
-                         kappa: float = 20.0, normalize: bool = True) -> dict:
-    """Full pipeline: (normalize) -> PCA -> planar KDE + angular KDE -> CSVs."""
-    protos = normalize_rows(rows) if normalize else PrototypeMatrix(
-        np.asarray(rows, dtype=np.float64), normalized=False)
-    projection = pca_project(protos)
+                         kappa: float = 20.0) -> dict:
+    """Full pipeline: normalize -> PCA -> planar KDE + angular KDE -> CSVs."""
+    projection = pca_project(normalize_rows(rows))
     planar = gaussian_kde2d(projection.points)
     angular = vmf_kde_angles(projection.points, kappa=kappa)
     prefix = str(out_prefix)

@@ -31,7 +31,7 @@ from . import __version__
 from .analysis import DegenerateRankError, export_prototype_kde
 from .checkpoint import atomic_open, load_matrix, save_checkpoint, write_csv
 from .collapse import DEFAULT_EPSILON_GRID, angular_stats, epsilon_sweep, normalize_rows
-from .datagen import shuffled_batches
+from .datagen import run_horizon, shuffled_batches
 from .mixture import (
     DegenerateComponentError,
     GmmConfig,
@@ -40,10 +40,10 @@ from .mixture import (
 )
 from .simulate import (
     ConfigError,
-    gmm_config_to_mapping,
+    config_to_mapping,
     run_experiment,
     sim_config_from_text,
-    sim_config_to_mapping,
+    with_settings,
 )
 
 EXIT_OK = 0
@@ -94,14 +94,14 @@ def _run_with_manifest(manifest_path: Path, info: dict, body) -> int:
     return code
 
 
-def _simulate_one(args_tuple):
-    """Worker for grid fan-out; module-level so process pools can pickle it."""
-    config_text, overrides, seed, out_dir = args_tuple
-    lines = [f"gmm.{name}={int(on)}" for name, on in overrides.items()]
-    if seed is not None:
-        lines.append(f"sim.seed={seed}")
-    return run_experiment(sim_config_from_text("\n".join([config_text, *lines])),
-                          out_dir=out_dir)
+def _simulate_one(job):
+    """Run one ``(config, out_dir)`` job; module-level so process pools can
+    pickle it.  Returns only what the manifest reads: the config as it ran,
+    the telemetry row count and the paths written."""
+    config, out_dir = job
+    result = run_experiment(config, out_dir=out_dir)
+    return (config_to_mapping(result.state.config), len(result.telemetry),
+            [result.telemetry_path, *result.snapshot_paths])
 
 
 def _simulate_pool(jobs: list, workers: int) -> list:
@@ -141,25 +141,28 @@ def cmd_simulate(args) -> int:
 
     def body():
         _check_flags(("--workers", args.workers, 1))
-        config_text = Path(args.config).read_text()
-        jobs = [(config_text, {}, args.seed, out_dir)]
+        runs = [({}, out_dir)]  # (settings, output directory)
         if args.grid:
             combos = itertools.product((False, True), repeat=len(ABLATION_TOGGLES))
-            jobs = []
+            runs = []
             for values in combos:
-                overrides = dict(zip(ABLATION_TOGGLES, values))
-                name = "_".join(f"{k[:3]}{int(v)}" for k, v in overrides.items())
-                jobs.append((config_text, overrides, args.seed, out_dir / name))
-            info["grid_runs"] = [str(job[3]) for job in jobs]
+                toggles = dict(zip(ABLATION_TOGGLES, values))
+                name = "_".join(f"{k[:3]}{int(v)}" for k, v in toggles.items())
+                runs.append(({f"gmm.{k}": v for k, v in toggles.items()},
+                             out_dir / name))
+            info["grid_runs"] = [str(run_dir) for _, run_dir in runs]
+        # every config is built and checked here, before any worker starts
+        config = sim_config_from_text(Path(args.config).read_text())
+        if args.seed is not None:
+            config = with_settings(config, {"sim.seed": args.seed})
+        jobs = [(with_settings(config, toggles), run_dir) for toggles, run_dir in runs]
         if args.grid and args.workers > 1:
             results = _simulate_pool(jobs, args.workers)
         else:
             results = [_simulate_one(job) for job in jobs]
         # the config as it ran: init_sim resolves gmm.total_steps
-        info["config"] = sim_config_to_mapping(results[0].state.config)
-        info["epochs_logged"] = len(results[0].telemetry)  # same in every run
-        return [path for result in results
-                for path in (result.telemetry_path, *result.snapshot_paths)]
+        info["config"], info["epochs_logged"] = results[0][:2]  # same in every run
+        return [path for _, _, paths in results for path in paths]
 
     return _run_with_manifest(manifest, info, body)
 
@@ -219,8 +222,7 @@ def cmd_export_kde(args) -> int:
 
     def body():
         rows = load_matrix(args.protos)
-        result = export_prototype_kde(rows, prefix, kappa=args.kappa,
-                                      normalize=not args.raw)
+        result = export_prototype_kde(rows, prefix, kappa=args.kappa)
         info["explained_variance"] = list(result["explained_variance"])
         info["bandwidth"] = list(result["bandwidth"])
         return [result["gaussian_csv"], result["vmf_csv"]]
@@ -241,9 +243,8 @@ def cmd_cluster_stream(args) -> int:
                      ("--epochs", args.epochs, 0),
                      ("--seed", args.seed or 0, 0))
         features = load_matrix(args.features)
-        batches_per_epoch = max(1, -(-len(features) // args.batch_size))
         config = GmmConfig(
-            total_steps=max(1, args.epochs * batches_per_epoch),
+            total_steps=run_horizon(len(features), args.batch_size, args.epochs),
             eta_start=args.eta_start,
             eta_end=args.eta_end,
             beta=args.beta,
@@ -254,7 +255,7 @@ def cmd_cluster_stream(args) -> int:
             rng_seed=args.seed or 0,
             init_variance=args.init_variance,
         )
-        info["config"] = gmm_config_to_mapping(config)
+        info["config"] = config_to_mapping(config)
         state = init_mixture(args.components, features, config,
                              np.random.default_rng([config.rng_seed, 1]))
         ll_rows = []
@@ -318,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_kde.add_argument("--out-prefix", required=True)
     p_kde.add_argument("--kappa", type=float, default=20.0,
                        help="von Mises-Fisher concentration")
-    p_kde.add_argument("--raw", action="store_true",
-                       help="skip row normalization before PCA")
     p_kde.set_defaults(func=cmd_export_kde)
 
     p_cs = sub.add_parser("cluster-stream", parents=[common],

@@ -15,7 +15,7 @@ import numpy as np
 from .mixture import ConfigError, check_settings, setting
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataSpec:
     mode: str = setting("balanced", "data.mode", ("balanced", "longtail"))
     n_classes: int = setting(8, "data.classes", "[1, inf)")
@@ -108,6 +108,12 @@ def shuffled_batches(x: np.ndarray, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(x.shape[0])
     for start in range(0, x.shape[0], batch_size):
         yield x[order[start:start + batch_size]]
+
+
+def run_horizon(n_rows: int, batch_size: int, epochs: int) -> int:
+    """Batches in ``epochs`` passes of ``shuffled_batches`` over ``n_rows`` rows,
+    counting at least one per epoch and one in all."""
+    return max(1, epochs * max(1, -(-n_rows // batch_size)))
 
 
 def make_views(x: np.ndarray, n_views: int, noise: float, dropout: float,

@@ -91,7 +91,7 @@ def _ramp(start: float, end: float, total_steps: int, step: int) -> float:
     return start + (end - start) * (min(max(step, 0), total_steps) / total_steps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GmmConfig:
     """Hyperparameters and feature toggles for the streaming mixture.
 

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import save_checkpoint, write_csv
-from .collapse import count_unique, normalize_rows
-from .datagen import DataSpec, Dataset, make_dataset, make_views, shuffled_batches
+from .collapse import DEFAULT_EPSILON_GRID, count_unique, normalize_rows
+from .datagen import (DataSpec, Dataset, make_dataset, make_views, run_horizon,
+                      shuffled_batches)
 from .encoder import EncoderParams, backward, forward, init_encoder
 from .mixture import (
     ConfigError,
@@ -35,14 +36,14 @@ from .mixture import (
 
 logger = logging.getLogger(__name__)
 
-TELEMETRY_EPSILONS = (0.025, 0.05, 0.1, 0.25, 0.5)
+TELEMETRY_EPSILONS = DEFAULT_EPSILON_GRID[1:]
 
 TELEMETRY_HEADER = ("epoch", "loss",
                     *(f"uniq_eps_{e}" for e in TELEMETRY_EPSILONS),
                     "acc_all", "acc_head", "acc_med", "acc_tail")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     regime: str = setting("decoupled", "sim.regime", ("joint", "decoupled"))
     n_prototypes: int = setting(64, "sim.prototypes", "[1, inf)")
@@ -248,11 +249,9 @@ def init_sim(cfg: SimConfig) -> tuple[SimState, Dataset]:
     protos = spread_unit_vectors(cfg.n_prototypes, cfg.latent_dim, proto_rng)
     mixture = None
     if cfg.regime == "decoupled":
-        steps_per_epoch = max(1, math.ceil(dataset.x_train.shape[0] / cfg.batch_size))
-        gmm = cfg.gmm
-        if gmm.total_steps <= 0:
-            gmm = replace(gmm, total_steps=max(1, cfg.epochs * steps_per_epoch))
-        gmm = replace(gmm, rng_seed=cfg.seed)
+        horizon = run_horizon(dataset.x_train.shape[0], cfg.batch_size, cfg.epochs)
+        gmm = replace(cfg.gmm, total_steps=cfg.gmm.total_steps or horizon,
+                      rng_seed=cfg.seed)
         cfg = replace(cfg, gmm=gmm)
         mixture = init_mixture(cfg.n_prototypes, protos, gmm, proto_rng)
         protos = mixture.means
@@ -360,16 +359,8 @@ def run_experiment(config: SimConfig,
 
 # --- flat key-value experiment configuration -------------------------------
 
-def _keyed_fields(cls) -> list:
-    return [f for f in fields(cls) if "key" in f.metadata]
-
-
-KNOWN_KEYS = sorted(f.metadata["key"] for cls in (SimConfig, DataSpec, GmmConfig)
-                    for f in _keyed_fields(cls))
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+def _parse_bool(text) -> bool:
+    lowered = str(text).strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
@@ -379,6 +370,40 @@ def _parse_bool(text: str) -> bool:
 
 # field annotations are strings under ``from __future__ import annotations``
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+
+
+def with_settings(config, mapping: dict):
+    """``config`` with each of its keys in ``mapping`` set, from text or a value:
+    the ``setting`` fields are the one table between a config and its text.
+
+    Nested configs are rebuilt first, then this one, each with ``replace``, so
+    every construction check runs again; a value that does not parse or fails
+    a check raises ``ConfigError`` naming its key."""
+    changes = {f.name: with_settings(getattr(config, f.name), mapping)
+               for f in fields(config) if is_dataclass(getattr(config, f.name))}
+    for f in fields(config):
+        if (key := f.metadata.get("key")) in mapping:
+            try:
+                changes[f.name] = _PARSERS[f.type](mapping[key])
+            except ValueError as err:
+                raise ConfigError(key, str(err)) from None
+    return replace(config, **changes)
+
+
+def config_to_mapping(config) -> dict:
+    """Every keyed field of ``config`` and of the configs it nests, as text
+    sorted by key: what the manifests record."""
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            out.update(config_to_mapping(value))
+        elif "key" in f.metadata:
+            out[f.metadata["key"]] = str(value)
+    return dict(sorted(out.items()))
+
+
+KNOWN_KEYS = list(config_to_mapping(SimConfig()))
 
 
 def parse_config_mapping(text: str) -> dict:
@@ -398,33 +423,4 @@ def parse_config_mapping(text: str) -> dict:
 
 
 def sim_config_from_text(text: str) -> SimConfig:
-    mapping = parse_config_mapping(text)
-
-    def build(cls, **kwargs):
-        for f in _keyed_fields(cls):
-            key = f.metadata["key"]
-            if key not in mapping:
-                continue
-            try:
-                kwargs[f.name] = _PARSERS[f.type](mapping[key])
-            except ValueError as err:
-                raise ConfigError(key, str(err)) from None
-        return cls(**kwargs)
-
-    return build(SimConfig, data=build(DataSpec), gmm=build(GmmConfig, total_steps=0))
-
-
-def _keyed_mapping(obj) -> dict:
-    return {f.metadata["key"]: str(getattr(obj, f.name)) for f in _keyed_fields(obj)}
-
-
-def gmm_config_to_mapping(config: GmmConfig) -> dict:
-    """Every ``gmm.*`` key of a mixture config, as ``sim_config_to_mapping``."""
-    return dict(sorted(_keyed_mapping(config).items()))
-
-
-def sim_config_to_mapping(config: SimConfig) -> dict:
-    """Flat snapshot of every known key, for manifests and bit-exact diffing."""
-    out = {**_keyed_mapping(config), **_keyed_mapping(config.data),
-           **_keyed_mapping(config.gmm)}
-    return dict(sorted(out.items()))
+    return with_settings(SimConfig(), parse_config_mapping(text))

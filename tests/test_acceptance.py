@@ -18,7 +18,7 @@ import pytest
 
 from protostream.analysis import vmf_kde_angles
 from protostream.checkpoint import write_matrix_csv
-from protostream.cli import main as cli_main
+from protostream.cli import BLAS_THREAD_VARS, main as cli_main
 from protostream.collapse import count_unique, normalize_rows
 from protostream.datagen import DataSpec
 from protostream.encoder import forward
@@ -307,7 +307,7 @@ class TestAcceptance:
         # the 10 runs are independent: two worker processes share them.  Each
         # worker starts fresh with one BLAS thread; forked workers would keep
         # a BLAS thread per core each and contend for the cores
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in BLAS_THREAD_VARS:
             monkeypatch.setenv(var, "1")
         jobs = [(regime, seed) for seed in range(5)
                 for regime in ("decoupled", "joint")]

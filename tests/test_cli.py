@@ -151,6 +151,25 @@ class TestSimulate:
         assert sorted(manifest["outputs"]) == sorted(written)
         assert len(written) == 8 * 3  # telemetry + 2 snapshots per run
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("text, args, key", [
+        pytest.param(BASE_CONFIG + "sim.bogus=1\n", [], "sim.bogus", id="unknown-key"),
+        pytest.param(BASE_CONFIG, ["--seed", "-1"], "sim.seed", id="negative-seed"),
+    ])
+    def test_grid_config_error_exit_2(self, tmp_path, capsys, workers, text, args,
+                                      key):
+        # the config is checked before any worker starts, so a bad value is a
+        # user error under any worker count, not a crashed pool
+        out = tmp_path / "grid"
+        code = main(["simulate", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out), "--grid", "--workers", str(workers), *args])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert key in manifest["error"]
+        assert not any(p.is_dir() for p in out.iterdir())
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
         cfg = write_config(tmp_path)
@@ -310,6 +329,15 @@ class TestExportKde:
         xs = np.array([float(r.split(",")[0]) for r in rows])
         ps = np.array([float(r.split(",")[1]) for r in rows])
         assert np.trapezoid(ps, xs) == pytest.approx(1.0, abs=1e-2)
+
+    def test_raw_flag_is_an_argument_error(self, tmp_path):
+        # every export normalizes its rows before PCA
+        protos = tmp_path / "protos.csv"
+        write_matrix_csv(np.eye(3), protos)
+        with pytest.raises(SystemExit) as err:
+            main(["export-kde", "--protos", str(protos),
+                  "--out-prefix", str(tmp_path / "kde"), "--raw"])
+        assert err.value.code == 2
 
     def test_two_rows_exit_4(self, tmp_path):
         protos = tmp_path / "protos.csv"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -10,19 +12,19 @@ from protostream.simulate import (
     ConfigError,
     SimConfig,
     assign,
+    config_to_mapping,
     consistency_loss,
     init_sim,
     prototype_step_decoupled,
     probe_accuracy,
     run_experiment,
     sim_config_from_text,
-    sim_config_to_mapping,
     student_step,
     teacher_step,
 )
 
 import oracles
-from test_acceptance import contrast_config
+from test_acceptance import contrast_config, longtail_config
 
 
 def tiny_config(**kw):
@@ -426,7 +428,7 @@ class TestConfigText:
         assert cfg.learning_rate == 0.25
         assert cfg.data.mode == "longtail"
         assert cfg.gmm.eta_start == 0.1
-        mapping = sim_config_to_mapping(cfg)
+        mapping = config_to_mapping(cfg)
         assert mapping["sim.regime"] == "joint"
         assert mapping["data.exponent"] == "1.5"
 
@@ -484,7 +486,7 @@ class TestConfigText:
             "sim.tau_student", "sim.tau_teacher", "sim.view_dropout",
             "sim.view_noise", "sim.views",
         ]
-        assert sim_config_to_mapping(SimConfig()) == {
+        assert config_to_mapping(SimConfig()) == {
             "data.classes": "8", "data.exponent": "1.5", "data.head_min": "100",
             "data.input_dim": "32", "data.mode": "balanced", "data.samples": "2048",
             "data.spread": "0.25", "data.tail_max": "20", "data.test_fraction": "0.2",
@@ -498,6 +500,25 @@ class TestConfigText:
             "sim.seed": "0", "sim.tau_student": "0.1", "sim.tau_teacher": "0.04",
             "sim.view_dropout": "0.1", "sim.view_noise": "0.1", "sim.views": "2",
         }
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(SimConfig(), id="default"),
+        pytest.param(contrast_config("joint"), id="contrast"),
+        pytest.param(longtail_config("decoupled", 3), id="longtail"),
+    ])
+    def test_mapping_text_round_trip(self, config):
+        # the printed mapping is a config file that builds the same config
+        text = "".join(f"{k}={v}\n" for k, v in config_to_mapping(config).items())
+        assert sim_config_from_text(text) == config
+
+    @pytest.mark.parametrize("config", [SimConfig(), SimConfig().data, SimConfig().gmm],
+                             ids=["sim", "data", "gmm"])
+    def test_config_is_frozen(self, config):
+        # check_settings runs at construction only: an assignment would
+        # bypass the declared bounds
+        name = dataclasses.fields(config)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, getattr(config, name))
 
     @pytest.mark.parametrize("key", ["data.spread", "data.exponent", "sim.view_noise",
                                      "gmm.init_variance"])
