@@ -45,8 +45,8 @@ from .mixture import (
     split_resurrect,
     spread_unit_vectors,
 )
+from .settings import ConfigError
 from .simulate import (
-    ConfigError,
     EpochTelemetry,
     SimConfig,
     SimState,

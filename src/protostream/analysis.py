@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import write_csv
-from .collapse import PrototypeMatrix, normalize_rows
+from .collapse import normalize_rows
 
 logger = logging.getLogger(__name__)
 
@@ -112,14 +112,13 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[i] < 0 else v
 
 
-def pca_project(protos: PrototypeMatrix | np.ndarray) -> Projection2D:
+def pca_project(rows: np.ndarray) -> Projection2D:
     """Top-2 principal projection of the prototype rows.
 
     Directions are the top two eigenvectors of the centered covariance; each
     direction's largest-magnitude coordinate is made positive so the output
     is sign-deterministic.
     """
-    rows = protos.rows if isinstance(protos, PrototypeMatrix) else np.asarray(protos)
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] < 3 or rows.shape[1] < 2:
         raise DegenerateRankError(
@@ -172,7 +171,7 @@ def gaussian_kde2d(points: np.ndarray) -> KdeGrid:
     return KdeGrid(x=grid, y=grid, density=density, bandwidth=bw)
 
 
-def vmf_kde_angles(points2d: np.ndarray, kappa: float = 20.0,
+def vmf_kde_angles(points2d: np.ndarray, kappa: float,
                    n_samples: int = 1024) -> KdeGrid:
     """Von Mises-Fisher kernel density over the angles of planar points.
 
@@ -219,9 +218,9 @@ def vmf_kde_angles(points2d: np.ndarray, kappa: float = 20.0,
 
 
 def export_prototype_kde(rows: np.ndarray, out_prefix: str | Path,
-                         kappa: float = 20.0) -> dict:
+                         kappa: float) -> dict:
     """Full pipeline: normalize -> PCA -> planar KDE + angular KDE -> CSVs."""
-    projection = pca_project(normalize_rows(rows))
+    projection = pca_project(normalize_rows(rows).rows)
     planar = gaussian_kde2d(projection.points)
     angular = vmf_kde_angles(projection.points, kappa=kappa)
     prefix = str(out_prefix)

@@ -7,14 +7,15 @@ file), ``export-kde`` (PCA + planar and angular density CSVs), and
 
 Every command accepts ``--seed`` and is bitwise reproducible under it.
 ``-v/--log-level`` (before the subcommand) sets which log messages reach
-stderr; ``-v info`` shows the mixture's split events.  Exit
-codes: 0 success, 2 user error, 3 I/O failure, 4 degenerate data.  A JSON
-run manifest is written next to the outputs on success and failure alike.
+stderr; ``-v info`` shows the mixture's split events.  Exit codes: 0 success,
+2 user error, 3 I/O failure, 4 degenerate data, 1 and a traceback otherwise.
+A JSON run manifest is written next to the outputs on success and any failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import logging
@@ -32,19 +33,9 @@ from .analysis import DegenerateRankError, export_prototype_kde
 from .checkpoint import atomic_open, load_matrix, save_checkpoint, write_csv
 from .collapse import DEFAULT_EPSILON_GRID, angular_stats, epsilon_sweep, normalize_rows
 from .datagen import run_horizon, shuffled_batches
-from .mixture import (
-    DegenerateComponentError,
-    GmmConfig,
-    gmm_update,
-    init_mixture,
-)
-from .simulate import (
-    ConfigError,
-    config_to_mapping,
-    run_experiment,
-    sim_config_from_text,
-    with_settings,
-)
+from .mixture import DegenerateComponentError, GmmConfig, gmm_update, init_mixture
+from .settings import ConfigError, config_to_mapping, with_settings
+from .simulate import run_experiment, sim_config_from_text
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -65,9 +56,9 @@ def _write_manifest(path: Path, payload: dict) -> None:
 
 
 def _run_with_manifest(manifest_path: Path, info: dict, body) -> int:
-    """Run a command body, always writing the manifest before returning."""
+    """Run a command body and always write its manifest; other errors re-raise."""
     started = time.time()
-    status, error, code = "ok", None, EXIT_OK
+    status, error, code, failure = "ok", None, EXIT_OK, None
     outputs: list = []
     try:
         outputs = body() or []
@@ -77,6 +68,8 @@ def _run_with_manifest(manifest_path: Path, info: dict, body) -> int:
         status, error, code = "error", str(err), EXIT_DEGENERATE
     except OSError as err:
         status, error, code = "error", str(err), EXIT_IO
+    except Exception as err:  # a bug or a dead worker: re-raised below
+        status, error, code, failure = "error", f"{type(err).__name__}: {err}", 1, err
     info.update(
         status=status,
         error=error,
@@ -88,7 +81,9 @@ def _run_with_manifest(manifest_path: Path, info: dict, body) -> int:
         _write_manifest(manifest_path, info)
     except OSError as err:
         print(f"error: cannot write manifest: {err}", file=sys.stderr)
-        return EXIT_IO
+        error, code = None, EXIT_IO
+    if failure is not None:
+        raise failure
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
     return code
@@ -243,18 +238,10 @@ def cmd_cluster_stream(args) -> int:
                      ("--epochs", args.epochs, 0),
                      ("--seed", args.seed or 0, 0))
         features = load_matrix(args.features)
-        config = GmmConfig(
-            total_steps=run_horizon(len(features), args.batch_size, args.epochs),
-            eta_start=args.eta_start,
-            eta_end=args.eta_end,
-            beta=args.beta,
-            annealing=not args.no_annealing,
-            responsibility_forgetting=not args.no_forgetting,
-            resurrect=not args.no_resurrect,
-            resurrect_threshold=args.resurrect_threshold,
-            rng_seed=args.seed or 0,
-            init_variance=args.init_variance,
-        )
+        horizon = run_horizon(len(features), args.batch_size, args.epochs)
+        flags = {k: v for k, v in vars(args).items() if k.startswith("gmm.")}
+        config = with_settings(GmmConfig(total_steps=horizon, rng_seed=args.seed or 0),
+                               flags)
         info["config"] = config_to_mapping(config)
         state = init_mixture(args.components, features, config,
                              np.random.default_rng([config.rng_seed, 1]))
@@ -329,17 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_cs.add_argument("--components", "-k", type=int, default=8)
     p_cs.add_argument("--batch-size", type=int, default=64)
     p_cs.add_argument("--epochs", type=int, default=20)
-    p_cs.add_argument("--eta-start", type=float, default=GmmConfig.eta_start)
-    p_cs.add_argument("--eta-end", type=float, default=GmmConfig.eta_end)
-    p_cs.add_argument("--beta", type=float, default=GmmConfig.beta)
-    p_cs.add_argument("--resurrect-threshold", type=float,
-                      default=GmmConfig.resurrect_threshold)
-    p_cs.add_argument("--init-variance", type=float,
-                      default=GmmConfig.init_variance,
-                      help="initial variance of every component")
-    p_cs.add_argument("--no-annealing", action="store_true")
-    p_cs.add_argument("--no-forgetting", action="store_true")
-    p_cs.add_argument("--no-resurrect", action="store_true")
+    # each mixture flag stores its value under its settings key, and an
+    # omitted one leaves the GmmConfig field's own default in place
+    gmm_flag = functools.partial(p_cs.add_argument, default=argparse.SUPPRESS)
+    gmm_flag("--eta-start", type=float, dest="gmm.eta.start")
+    gmm_flag("--eta-end", type=float, dest="gmm.eta.end")
+    gmm_flag("--beta", type=float, dest="gmm.beta")
+    gmm_flag("--resurrect-threshold", type=float, dest="gmm.resurrect_threshold")
+    gmm_flag("--init-variance", type=float, dest="gmm.init_variance",
+             help="initial variance of every component")
+    gmm_flag("--no-annealing", action="store_false", dest="gmm.annealing")
+    gmm_flag("--no-forgetting", action="store_false", dest="gmm.forgetting")
+    gmm_flag("--no-resurrect", action="store_false", dest="gmm.resurrect")
     p_cs.set_defaults(func=cmd_cluster_stream)
     return parser
 

@@ -99,14 +99,13 @@ class AngularStats:
     subsampled: bool
 
 
-def normalize_rows(matrix: np.ndarray | PrototypeMatrix) -> PrototypeMatrix:
+def normalize_rows(rows: np.ndarray) -> PrototypeMatrix:
     """Divide every row by its L2 norm.
 
     Zero rows and rows whose norm is not finite (a NaN or infinite entry, or
     a sum of squares that overflows) are rejected by index: a NaN row would
     count as its own partition at every epsilon.
     """
-    rows = matrix.rows if isinstance(matrix, PrototypeMatrix) else matrix
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] < 1:
         raise ValueError(f"expected a non-empty 2-d matrix, got shape {rows.shape}")

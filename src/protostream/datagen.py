@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mixture import ConfigError, check_settings, setting
+from .settings import ConfigError, check_settings, setting
 
 
 @dataclass(frozen=True)

@@ -22,15 +22,19 @@ keeps the components apart.
 
 All operations are pure: they return new state and never mutate their inputs,
 and a ``MixtureState`` is frozen.  Arrays are float64 throughout.
+``GmmConfig`` only declares its ``gmm.*`` keys; ``protostream.settings`` sets
+them, from ``simulate`` config files and ``cluster-stream`` flags alike.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+
+from .settings import check_settings, setting
 
 logger = logging.getLogger(__name__)
 
@@ -47,41 +51,6 @@ _SPREAD_STEP = 0.35
 
 class DegenerateComponentError(RuntimeError):
     """Raised when a component's count statistic is non-positive in the M-step."""
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; carries the offending key."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(f"config key {key!r}: {message}")
-        self.key = key
-
-
-def setting(default, key: str, bounds: str | tuple | None = None):
-    """A config field that declares its experiment-config key and its bounds.
-
-    ``bounds`` is an interval such as ``"[0, 1)"`` or ``"(0, inf]"``, or a
-    tuple of the allowed strings; ``check_settings`` enforces it.
-    """
-    return field(default=default, metadata={"key": key, "bounds": bounds})
-
-
-def check_settings(config) -> None:
-    """Raise ``ConfigError`` naming the first field outside its bounds.
-
-    Every comparison is one that NaN fails, and an open ``inf`` end refuses
-    inf.
-    """
-    for f in fields(config):
-        bounds, v = f.metadata.get("bounds"), getattr(config, f.name)
-        if isinstance(bounds, tuple) and v not in bounds:
-            raise ConfigError(f.metadata["key"],
-                              f"must be one of {', '.join(bounds)}, got {v!r}")
-        if isinstance(bounds, str):
-            lo, hi = (float(end) for end in bounds[1:-1].split(","))
-            if not ((lo <= v if bounds[0] == "[" else lo < v)
-                    and (v <= hi if bounds[-1] == "]" else v < hi)):
-                raise ConfigError(f.metadata["key"], f"must lie in {bounds}, got {v!r}")
 
 
 def _ramp(start: float, end: float, total_steps: int, step: int) -> float:

@@ -7,13 +7,14 @@ teacher's latents, refreshed before every encoder step, and the loss gradient
 never touches them.  Telemetry tracks the consistency loss, unique-prototype
 counts on an epsilon grid, and nearest-class-centroid probe accuracy split by
 head/medium/tail class frequency.
+``SimConfig`` only declares its keys; ``protostream.settings`` reads config files.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,16 +24,9 @@ from .collapse import DEFAULT_EPSILON_GRID, count_unique, normalize_rows
 from .datagen import (DataSpec, Dataset, make_dataset, make_views, run_horizon,
                       shuffled_batches)
 from .encoder import EncoderParams, backward, forward, init_encoder
-from .mixture import (
-    ConfigError,
-    GmmConfig,
-    MixtureState,
-    check_settings,
-    gmm_update,
-    init_mixture,
-    setting,
-    spread_unit_vectors,
-)
+from .mixture import (GmmConfig, MixtureState, gmm_update, init_mixture,
+                      spread_unit_vectors)
+from .settings import check_settings, config_from_text, config_to_mapping, setting
 
 logger = logging.getLogger(__name__)
 
@@ -65,6 +59,13 @@ class SimConfig:
 
     def __post_init__(self):
         check_settings(self)
+
+
+KNOWN_KEYS = list(config_to_mapping(SimConfig()))
+
+
+def sim_config_from_text(text: str) -> SimConfig:
+    return config_from_text(SimConfig(), text)
 
 
 @dataclass
@@ -356,71 +357,3 @@ def run_experiment(config: SimConfig,
                    for r in result.telemetry))
     return result
 
-
-# --- flat key-value experiment configuration -------------------------------
-
-def _parse_bool(text) -> bool:
-    lowered = str(text).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-# field annotations are strings under ``from __future__ import annotations``
-_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
-
-
-def with_settings(config, mapping: dict):
-    """``config`` with each of its keys in ``mapping`` set, from text or a value:
-    the ``setting`` fields are the one table between a config and its text.
-
-    Nested configs are rebuilt first, then this one, each with ``replace``, so
-    every construction check runs again; a value that does not parse or fails
-    a check raises ``ConfigError`` naming its key."""
-    changes = {f.name: with_settings(getattr(config, f.name), mapping)
-               for f in fields(config) if is_dataclass(getattr(config, f.name))}
-    for f in fields(config):
-        if (key := f.metadata.get("key")) in mapping:
-            try:
-                changes[f.name] = _PARSERS[f.type](mapping[key])
-            except ValueError as err:
-                raise ConfigError(key, str(err)) from None
-    return replace(config, **changes)
-
-
-def config_to_mapping(config) -> dict:
-    """Every keyed field of ``config`` and of the configs it nests, as text
-    sorted by key: what the manifests record."""
-    out = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if is_dataclass(value):
-            out.update(config_to_mapping(value))
-        elif "key" in f.metadata:
-            out[f.metadata["key"]] = str(value)
-    return dict(sorted(out.items()))
-
-
-KNOWN_KEYS = list(config_to_mapping(SimConfig()))
-
-
-def parse_config_mapping(text: str) -> dict:
-    """Parse ``key=value`` lines; ``#`` starts a comment, blanks are skipped."""
-    mapping = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(stripped, f"line {lineno} is not key=value")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in KNOWN_KEYS:
-            raise ConfigError(key, f"unknown key on line {lineno}")
-        mapping[key] = value
-    return mapping
-
-
-def sim_config_from_text(text: str) -> SimConfig:
-    return with_settings(SimConfig(), parse_config_mapping(text))

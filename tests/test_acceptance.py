@@ -33,14 +33,13 @@ from protostream.mixture import (
     spread_unit_vectors,
 )
 from protostream.simulate import (
+    TELEMETRY_EPSILONS,
     SimConfig,
     loss_and_grads,
     run_experiment,
 )
 
 import oracles
-
-EPS_GRID = (0.025, 0.05, 0.1, 0.25, 0.5)
 
 
 def report(number, name, passed, detail=""):
@@ -136,13 +135,14 @@ class TestAcceptance:
             result = run_experiment(contrast_config("decoupled"))
         splits = sum(r.msg.startswith("split step") for r in caplog.records)
         fractions = np.array(
-            [[row.unique_counts[e] for e in EPS_GRID] for row in result.telemetry]
+            [[row.unique_counts[e] for e in TELEMETRY_EPSILONS]
+             for row in result.telemetry]
         ) / 64.0
         elapsed = time.time() - started
         ok = bool((fractions == 1.0).all()) and splits == 0 and elapsed < 120.0
         assert report(2, "decoupled keeps every prototype unique", ok,
                       f"min fraction {fractions.min():.3f} over "
-                      f"{len(result.telemetry)} epochs x {len(EPS_GRID)} eps, "
+                      f"{len(result.telemetry)} epochs x {len(TELEMETRY_EPSILONS)} eps, "
                       f"{splits} splits, final acc_all "
                       f"{result.telemetry[-1].acc_all:.3f}, {elapsed:.0f}s")
 

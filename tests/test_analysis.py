@@ -250,8 +250,8 @@ class TestExportPipeline:
     def test_deterministic(self, tmp_path):
         rng = np.random.default_rng(11)
         rows = rng.standard_normal((12, 5))
-        export_prototype_kde(rows, tmp_path / "a")
-        export_prototype_kde(rows, tmp_path / "b")
+        export_prototype_kde(rows, tmp_path / "a", kappa=20.0)
+        export_prototype_kde(rows, tmp_path / "b", kappa=20.0)
         assert (tmp_path / "a_vmf_kde.csv").read_bytes() == \
             (tmp_path / "b_vmf_kde.csv").read_bytes()
         assert (tmp_path / "a_gaussian_kde.csv").read_bytes() == \

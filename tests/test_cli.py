@@ -14,6 +14,7 @@ import pytest
 from protostream.checkpoint import (
     load_checkpoint, read_matrix_csv, write_csv, write_matrix_csv,
 )
+from protostream import cli
 from protostream.cli import BLAS_THREAD_VARS, main
 from protostream.collapse import (
     DEFAULT_EPSILON_GRID, angular_stats, epsilon_sweep, normalize_rows,
@@ -123,6 +124,23 @@ class TestSimulate:
         assert "sim.regym" in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error"
+
+    def test_unexpected_error_writes_manifest_and_reraises(self, tmp_path,
+                                                           monkeypatch):
+        # a bug or a dead pool worker keeps its traceback and exit status 1,
+        # and still leaves a manifest
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        out = tmp_path / "run"
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["simulate", "--config", str(write_config(tmp_path)),
+                  "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"] == "RuntimeError: boom"
+        assert manifest["exit_code"] == 1
 
     def test_missing_config_exit_3(self, tmp_path):
         code = main(["simulate", "--config", str(tmp_path / "nope.cfg"),
@@ -388,6 +406,25 @@ class TestClusterStream:
             "gmm.anneal_start": str(GmmConfig.anneal_start),
         }
 
+    def test_flags_at_field_defaults_change_nothing(self, tmp_path):
+        # an omitted gmm.* flag leaves its field's default, so naming that
+        # default on the command line must write the same run
+        features, _ = cluster_file(tmp_path)
+        defaults = ["--eta-start", GmmConfig.eta_start, "--eta-end", GmmConfig.eta_end,
+                    "--beta", GmmConfig.beta,
+                    "--resurrect-threshold", GmmConfig.resurrect_threshold,
+                    "--init-variance", GmmConfig.init_variance]
+        runs = {}
+        for name, flags in (("bare", []), ("flags", [str(v) for v in defaults])):
+            out = tmp_path / f"{name}.ckpt"
+            assert main(["cluster-stream", "--features", str(features),
+                         "--out", str(out), "-k", "4", "--epochs", "2", "--seed", "3",
+                         *flags]) == 0
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            runs[name] = (out.read_bytes(), Path(f"{out}.loglik.csv").read_bytes(),
+                          manifest["config"])
+        assert runs["flags"] == runs["bare"]
+
     def test_empty_file_exit_2(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -427,8 +464,9 @@ class TestClusterStream:
         ("--seed", "-1", "--seed"),
     ])
     def test_out_of_range_flag_names_its_key(self, tmp_path, flag, value, key):
-        # the gmm.* flags build a GmmConfig directly, which checks its own
-        # ranges; the others are checked by cmd_cluster_stream and named by flag
+        # the gmm.* flags reach the GmmConfig through its settings keys, and
+        # it checks its own ranges; the others are checked by
+        # cmd_cluster_stream and named by flag
         features, _ = cluster_file(tmp_path)
         out = tmp_path / "m.ckpt"
         code = main(["cluster-stream", "--features", str(features),
@@ -596,3 +634,49 @@ class TestNumpyOnly:
                                   env=python_env(), capture_output=True, text=True,
                                   timeout=120)
             assert done.returncode == 0, (argv[0], done.stderr)
+
+
+def package_imports(source: str) -> set:
+    """Modules of this package that ``source`` imports, relatively or not."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            names.update([node.module.split(".")[0]] if node.module
+                         else (alias.name for alias in node.names))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([alias.name for alias in node.names]
+                       if isinstance(node, ast.Import) else [node.module])
+            names.update(m.split(".")[1] for m in modules
+                         if m.startswith("protostream."))
+    return names
+
+
+class TestSettingsTable:
+    """The settings table is one leaf module: the other modules declare fields."""
+
+    @pytest.mark.parametrize("source, names", [
+        ("from .settings import setting", {"settings"}),
+        ("from . import mixture", {"mixture"}),
+        ("from protostream.mixture import GmmConfig", {"mixture"}),
+        ("import protostream.mixture", {"mixture"}),
+        ("import numpy as np", set()),
+    ])
+    def test_guard_finds_imports(self, source, names):
+        assert package_imports(source) == names
+
+    def test_only_settings_defines_errors_or_reads_metadata(self):
+        found = set()
+        for path in sorted((SRC / "protostream").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.ClassDef) and node.name == "ConfigError"
+                        or isinstance(node, ast.Attribute) and node.attr == "metadata"):
+                    found.add(path.name)
+        assert found == {"settings.py"}
+
+    def test_settings_imports_nothing_from_the_package(self):
+        source = (SRC / "protostream" / "settings.py").read_text()
+        assert package_imports(source) == set()
+
+    def test_datagen_does_not_import_mixture(self):
+        source = (SRC / "protostream" / "datagen.py").read_text()
+        assert "mixture" not in package_imports(source)

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -7,12 +8,11 @@ from scipy.optimize import linear_sum_assignment
 from protostream.datagen import DataSpec, class_sizes, make_dataset, make_views
 from protostream.encoder import forward, init_encoder
 from protostream.mixture import GmmConfig, gmm_update, init_mixture, m_step
+from protostream.settings import ConfigError, config_to_mapping
 from protostream.simulate import (
     KNOWN_KEYS,
-    ConfigError,
     SimConfig,
     assign,
-    config_to_mapping,
     consistency_loss,
     init_sim,
     prototype_step_decoupled,
@@ -439,6 +439,13 @@ class TestConfigText:
             with pytest.raises(ConfigError) as err:
                 sim_config_from_text(f"{key}=1\n")
             assert err.value.key == key
+            assert "line 1" in str(err.value)
+
+    def test_config_error_unpickles(self):
+        # an error raised in a process-pool worker reaches the parent pickled
+        err = pickle.loads(pickle.dumps(ConfigError("sim.seed", "bad")))
+        assert err.key == "sim.seed"
+        assert str(err) == "config key 'sim.seed': bad"
 
     def test_bad_value_named(self):
         with pytest.raises(ConfigError) as err:
