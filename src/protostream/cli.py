@@ -287,7 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run all 8 mixture-toggle combinations, one "
                             "sub-directory each")
     p_sim.add_argument("--workers", type=int, default=1,
-                       help="parallel workers for --grid")
+                       help="parallel worker processes for --grid; they are "
+                            "spawned, so a program that calls cli.main with "
+                            "more than 1 needs an if __name__ == '__main__' "
+                            "guard")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_an = sub.add_parser("analyze", parents=[common],

@@ -13,6 +13,17 @@ checkpoint, which stores only the statistics, reloads as the saved state.
 with the new state in a ``MixtureUpdate`` record, so the batch's pre-update
 log-likelihood needs no second pass.
 
+Once a batch's N * K * D reaches ``_SPLIT_MIN`` (2**22), the (N, K) work of
+``gmm_update``, ``e_step``, ``log_likelihood`` and ``batch_suffstats`` runs
+in two halves, the first on a module-level helper thread.  The densities,
+responsibilities and log-sum-exp split by batch rows, and every reduction
+in them is per row; the statistic products split by components, and each
+sum still runs over all N rows.  So the outputs are the bits of one pass,
+and since the split is always two-way they do not depend on the core count.
+The calling thread allocates every (N, K) array and the halves write into
+their slices: the helper's own allocations would land in a second malloc
+arena and raise the peak memory.
+
 One regularizer guards long runs: ``split_resurrect`` halves the mass of an
 over-weighted component into a reinitialized lightest one.  It edits the
 sufficient statistics, so a split outlasts the update.
@@ -29,6 +40,8 @@ them, from ``simulate`` config files and ``cluster-stream`` flags alike.
 from __future__ import annotations
 
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -47,6 +60,49 @@ _SPLIT_STREAM = 7
 _SPREAD_ITERS = 400
 _SPREAD_SHARPNESS = 12.0
 _SPREAD_STEP = 0.35
+
+# an update's (N, K) work runs in two halves once N * K * D reaches this;
+# see _in_halves
+_SPLIT_MIN = 1 << 22
+_helper = (None, None)  # (process id, pool) of the thread that runs first halves
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    """This process's one-thread pool.  A forked child inherits the parent's
+    pool but not its thread, where a submit would wait forever, so each
+    process makes its own on first use.  (An ``os.register_at_fork`` hook
+    would keep this module, its pool and its thread alive past a re-import.)"""
+    global _helper
+    # callers racing here may each make a pool; every pool runs the work
+    # submitted to it, and the one not kept is collected with its thread
+    if _helper[0] != os.getpid():
+        _helper = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="mixture"))
+    return _helper[1]
+
+
+def _in_halves(task, size: int, work: int) -> None:
+    """Run ``task(lo, hi)`` over ``[0, size)``, whole or in two halves.
+
+    Halves are used when ``work``, the update's N * K * D, reaches
+    ``_SPLIT_MIN``: ``[0, cut)`` runs on the helper thread and ``[cut, size)``
+    here, and both have finished on return.  The smaller half holds at least
+    4/15 of the work, so each half's products take over 10**6 multiply-adds:
+    below that, OpenBLAS on AVX-512 hosts picks a small-matrix kernel that
+    rounds differently.  ``cut`` is a multiple of 4, so a matrix-vector
+    product (K=1 or D=1) groups its rows as the whole one does.  The task
+    must write only its own slices of arrays the caller allocated, and call
+    no public function: perfbench's spans wrap those on one stack shared by
+    all threads.
+    """
+    cut = size // 8 * 4
+    if work < _SPLIT_MIN or cut == 0:
+        task(0, size)
+        return
+    first = _helper_pool().submit(task, 0, cut)
+    try:
+        task(cut, size)
+    finally:
+        first.result()
 
 
 class DegenerateComponentError(RuntimeError):
@@ -218,17 +274,27 @@ def init_mixture(k: int, init_points: np.ndarray, config: GmmConfig,
                         np.full(means.shape, config.init_variance), None, 0)
 
 
-def _log_densities(state: MixtureState, batch: np.ndarray) -> np.ndarray:
-    """Per-sample, per-component diagonal-Gaussian log densities, shape (N, K)."""
+def _densities(state: MixtureState, batch: np.ndarray, out: np.ndarray,
+               scratch: np.ndarray):
+    """Return ``rows(lo, hi)``, which writes the diagonal-Gaussian log
+    densities of batch rows lo:hi into ``out[lo:hi]``, shape (N, K), using
+    ``scratch[lo:hi]`` for the cross term."""
     inv_var = 1.0 / state.variances  # (K, D)
     log_norm = -0.5 * (state.d * _LOG_2PI + np.sum(np.log(state.variances), axis=1))
-    # the (N, K) work is done in place here and below: at K=1024 a fresh
-    # array per elementwise step cost more than the arithmetic itself
-    quad = (batch * batch) @ inv_var.T
-    quad -= 2.0 * batch @ (state.means * inv_var).T
-    quad += np.sum(state.means * state.means * inv_var, axis=1)
-    quad *= 0.5
-    return np.subtract(log_norm, quad, out=quad)
+    scaled_means = (state.means * inv_var).T
+    offset = np.sum(state.means * state.means * inv_var, axis=1)
+    square, twice = batch * batch, 2.0 * batch
+
+    def rows(lo, hi):
+        # the (N, K) work is done in place here and below: at K=1024 a fresh
+        # array per elementwise step cost more than the arithmetic itself
+        quad = np.matmul(square[lo:hi], inv_var.T, out=out[lo:hi])
+        quad -= np.matmul(twice[lo:hi], scaled_means, out=scratch[lo:hi])
+        quad += offset
+        quad *= 0.5
+        np.subtract(log_norm, quad, out=quad)
+
+    return rows
 
 
 def _check_batch(state: MixtureState, batch: np.ndarray) -> np.ndarray:
@@ -245,24 +311,42 @@ def _log_weights(state: MixtureState) -> np.ndarray:
         return np.log(state.weights)
 
 
-def _responsibilities(log_w: np.ndarray, log_dens: np.ndarray,
-                      beta: float) -> np.ndarray:
+def _e_step(state: MixtureState, batch: np.ndarray, beta: float
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log weights, (N, K) log densities and responsibilities of a checked
+    batch; each half of the rows gets its densities, then its
+    responsibilities, which take the cross term's place."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    scores = beta * log_dens
-    scores += log_w
-    scores -= scores.max(axis=1, keepdims=True)
-    resp = np.exp(scores, out=scores)
-    resp /= resp.sum(axis=1, keepdims=True)
-    return resp
+    log_w = _log_weights(state)
+    log_dens = np.empty((len(batch), state.k))
+    resp = np.empty_like(log_dens)
+    densities = _densities(state, batch, log_dens, resp)
+
+    def rows(lo, hi):
+        densities(lo, hi)
+        scores = np.multiply(beta, log_dens[lo:hi], out=resp[lo:hi])
+        scores += log_w
+        scores -= scores.max(axis=1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=1, keepdims=True)
+
+    _in_halves(rows, len(batch), log_dens.size * state.d)
+    return log_w, log_dens, resp
 
 
-def _mean_log_sum_exp(log_w: np.ndarray, log_dens: np.ndarray) -> float:
-    scores = log_w + log_dens
-    m = scores.max(axis=1, keepdims=True)
-    scores -= m
-    sums = np.sum(np.exp(scores, out=scores), axis=1)
-    return float(np.mean(m[:, 0] + np.log(sums)))
+def _mean_log_sum_exp(log_w: np.ndarray, log_dens: np.ndarray, d: int) -> float:
+    scratch, per_row = np.empty_like(log_dens), np.empty(len(log_dens))
+
+    def rows(lo, hi):
+        scores = np.add(log_w, log_dens[lo:hi], out=scratch[lo:hi])
+        m = scores.max(axis=1, keepdims=True)
+        scores -= m
+        sums = np.sum(np.exp(scores, out=scores), axis=1)
+        np.add(m[:, 0], np.log(sums), out=per_row[lo:hi])
+
+    _in_halves(rows, len(log_dens), log_dens.size * d)
+    return float(np.mean(per_row))
 
 
 def e_step(state: MixtureState, batch: np.ndarray, beta: float) -> np.ndarray:
@@ -271,14 +355,16 @@ def e_step(state: MixtureState, batch: np.ndarray, beta: float) -> np.ndarray:
     Row i is proportional to weight_k * density_ik**beta, evaluated in log
     space with per-row max subtraction so no row can underflow to all zeros.
     """
-    batch = _check_batch(state, batch)
-    return _responsibilities(_log_weights(state), _log_densities(state, batch), beta)
+    return _e_step(state, _check_batch(state, batch), beta)[2]
 
 
 def log_likelihood(state: MixtureState, batch: np.ndarray) -> float:
     """Mean per-sample log-likelihood of the batch under the mixture."""
     batch = _check_batch(state, batch)
-    return _mean_log_sum_exp(_log_weights(state), _log_densities(state, batch))
+    log_dens = np.empty((len(batch), state.k))
+    _in_halves(_densities(state, batch, log_dens, np.empty_like(log_dens)),
+               len(batch), log_dens.size * state.d)
+    return _mean_log_sum_exp(_log_weights(state), log_dens, state.d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +380,7 @@ class MixtureUpdate:
     def log_likelihood(self) -> float:
         """Mean per-sample log-likelihood of the batch under the state before
         the update; bitwise equal to ``log_likelihood`` of that state."""
-        return _mean_log_sum_exp(self.log_weights, self.log_densities)
+        return _mean_log_sum_exp(self.log_weights, self.log_densities, self.state.d)
 
 
 def batch_suffstats(batch: np.ndarray, resp: np.ndarray) -> SufficientStats:
@@ -306,11 +392,19 @@ def batch_suffstats(batch: np.ndarray, resp: np.ndarray) -> SufficientStats:
             or not len(batch)):
         raise ValueError(f"need a non-empty batch and one responsibility row per "
                          f"sample: batch {batch.shape} vs responsibilities {resp.shape}")
-    n = batch.shape[0]
+    n, k = resp.shape
     # scaling the (K,) and (K, D) sums is cheaper than scaling the (N, K) resp
     s_pi = resp.sum(axis=0) / n
-    s_mu = (resp.T @ batch) / n
-    s_sigma = (resp.T @ (batch * batch)) / n
+    s_mu, s_sigma = np.empty((k, batch.shape[1])), np.empty((k, batch.shape[1]))
+    square = batch * batch
+
+    def components(lo, hi):
+        # every sum still runs over all N rows, so the halves change no bit
+        for out, moment in ((s_mu, batch), (s_sigma, square)):
+            np.matmul(resp[:, lo:hi].T, moment, out=out[lo:hi])
+            out[lo:hi] /= n
+
+    _in_halves(components, k, resp.size * batch.shape[1])
     return SufficientStats(s_pi, s_mu, s_sigma)
 
 
@@ -427,9 +521,7 @@ def gmm_update(state: MixtureState, batch: np.ndarray, config: GmmConfig
         raise ValueError(f"batch must be non-empty, got {batch.shape}")
     if not np.all(np.isfinite(batch)):
         raise ValueError("batch contains non-finite entries")
-    log_w = _log_weights(state)
-    log_dens = _log_densities(state, batch)
-    resp = _responsibilities(log_w, log_dens, config.beta_at(state.step))
+    log_w, log_dens, resp = _e_step(state, batch, config.beta_at(state.step))
     stats = forget_and_merge(state.suffstats, batch_suffstats(batch, resp),
                              config.eta_at(state.step),
                              config.responsibility_forgetting)

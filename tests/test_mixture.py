@@ -1,11 +1,15 @@
 import copy
 import dataclasses
 import logging
+import multiprocessing
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from protostream import mixture
 from protostream.mixture import (
     DegenerateComponentError,
     GmmConfig,
@@ -508,6 +512,136 @@ class TestFusedUpdate:
         state, batch = self.trained(config, steps=0)
         with pytest.raises(ValueError, match=r"batch must be \(n, 4\)"):
             gmm_update(state, batch[:, :3], config)
+
+
+class CountingHelper:
+    """Stands in for the mixture's helper pool and counts its submissions."""
+
+    def __init__(self, pool):
+        self.pool, self.submitted = pool, 0
+
+    def submit(self, *args):
+        self.submitted += 1
+        return self.pool.submit(*args)
+
+
+class TestTwoThreadSplit:
+    """The (N, K) work runs in two halves at and above ``_SPLIT_MIN``; the
+    outputs are the bits of one pass."""
+
+    @staticmethod
+    def helper(monkeypatch, split_min):
+        monkeypatch.setattr(mixture, "_SPLIT_MIN", split_min)
+        helper = CountingHelper(mixture._helper_pool())
+        monkeypatch.setattr(mixture, "_helper_pool", lambda: helper)
+        return helper
+
+    @staticmethod
+    def fixture(n, k, d):
+        rng = np.random.default_rng([n, k, d])
+        config = GmmConfig(total_steps=20, rng_seed=3)
+        points = rng.standard_normal((max(n, k), d))
+        state = init_mixture(k, points, config, np.random.default_rng(1))
+        for _ in range(3):
+            state = gmm_update(state, points, config).state
+        return state, rng.standard_normal((n, d)), config
+
+    @staticmethod
+    def outputs(state, batch, config):
+        update = gmm_update(state, batch, config)
+        new, resp = update.state, e_step(state, batch, 0.7)
+        stats = batch_suffstats(batch, resp)
+        return [new.weights, new.means, new.variances, new.suffstats.s_pi,
+                new.suffstats.s_mu, new.suffstats.s_sigma, update.log_densities,
+                np.float64(update.log_likelihood()), resp,
+                np.float64(log_likelihood(state, batch)),
+                stats.s_pi, stats.s_mu, stats.s_sigma]
+
+    # odd N and K; one sample (only the statistics split); one component
+    # (only the rows split); the last two take BLAS's matrix-vector kernel
+    # and differ when the cut is not a multiple of 4
+    @pytest.mark.parametrize("n,k,d", [(97, 13, 5), (1, 13, 5), (97, 1, 5),
+                                       (21, 1, 64), (30, 5, 1)])
+    def test_split_outputs_are_the_bits_of_one_pass(self, monkeypatch, n, k, d):
+        state, batch, config = self.fixture(n, k, d)
+        helper = self.helper(monkeypatch, 0)
+        split = self.outputs(state, batch, config)
+        assert helper.submitted > 0
+        helper = self.helper(monkeypatch, 2**62)
+        whole = self.outputs(state, batch, config)
+        assert helper.submitted == 0
+        for a, b in zip(split, whole):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_size_rule_counts_n_times_k_times_d(self, monkeypatch):
+        # at N*K*D = 2**22 each half still multiplies over 10**6 terms; at
+        # N*K = 2**17 with D=8 half the statistic product would not, and
+        # OpenBLAS may then take a small-matrix kernel with other rounding
+        state, batch, config = self.fixture(512, 1024, 8)
+        helper = self.helper(monkeypatch, mixture._SPLIT_MIN)
+        split = self.outputs(state, batch, config)
+        # update 2, record 1, e_step 1, log_likelihood 2, batch_suffstats 1
+        assert helper.submitted == 7
+        helper = self.helper(monkeypatch, 2**62)
+        whole = self.outputs(state, batch, config)
+        for a, b in zip(split, whole):
+            assert a.tobytes() == b.tobytes()
+        state, batch, config = self.fixture(512, 256, 8)
+        helper = self.helper(monkeypatch, mixture._SPLIT_MIN)
+        self.outputs(state, batch, config)
+        assert helper.submitted == 0
+
+    def test_bad_beta_refused_before_any_work_is_submitted(self, monkeypatch):
+        state, batch, _ = self.fixture(97, 13, 5)
+        helper = self.helper(monkeypatch, 0)
+        with pytest.raises(ValueError, match="beta"):
+            e_step(state, batch, 1.5)
+        assert helper.submitted == 0
+
+    def test_inputs_not_mutated(self, monkeypatch):
+        state, batch, config = self.fixture(97, 13, 5)
+        resp = e_step(state, batch, 1.0)
+        inputs = [state.weights, state.means, state.variances, state.suffstats.s_pi,
+                  state.suffstats.s_mu, state.suffstats.s_sigma, batch, resp]
+        before = [a.copy() for a in inputs]
+        helper = self.helper(monkeypatch, 0)
+        self.outputs(state, batch, config)
+        batch_suffstats(batch, resp)
+        assert helper.submitted > 0
+        for a, b in zip(inputs, before):
+            assert a.tobytes() == b.tobytes()
+
+    def test_concurrent_callers_share_the_helper(self, monkeypatch):
+        # more callers than cores queue their first halves on the one helper
+        state, batch, config = self.fixture(97, 13, 5)
+        monkeypatch.setattr(mixture, "_SPLIT_MIN", 0)
+        want = self.outputs(state, batch, config)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                runs = [callers.submit(self.outputs, state, batch, config)
+                        for _ in range(16)]
+                results = [run.result(timeout=60) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_forked_child_starts_its_own_helper(self, monkeypatch):
+        # the child inherits the pool object but not its thread
+        state, batch, _ = self.fixture(97, 13, 5)
+        monkeypatch.setattr(mixture, "_SPLIT_MIN", 0)
+        e_step(state, batch, 1.0)
+        child = multiprocessing.get_context("fork").Process(
+            target=e_step, args=(state, batch, 1.0))
+        child.start()
+        child.join(60)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+        assert not hung and child.exitcode == 0
 
 
 class TestRegularizersPersist:
