@@ -5,7 +5,9 @@ grid), ``analyze`` (epsilon sweep and angular statistics of a prototype
 file), ``export-kde`` (PCA + planar and angular density CSVs), and
 ``cluster-stream`` (standalone streaming mixture over a feature file).
 
-Every command accepts ``--seed`` and is bitwise reproducible under it.
+Every command accepts ``--seed`` and is bitwise reproducible under it: it
+runs with numpy's OpenBLAS on one thread, since a threaded GEMM rounds some
+odd shapes differently, and the manifest records the BLAS and its threads.
 ``-v/--log-level`` (before the subcommand) sets which log messages reach
 stderr; ``-v info`` shows the mixture's split events.  Exit codes: 0 success,
 2 user error, 3 I/O failure, 4 degenerate data, 1 and a traceback otherwise.
@@ -15,6 +17,7 @@ A JSON run manifest is written next to the outputs on success and any failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import itertools
 import json
@@ -23,6 +26,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -47,9 +51,56 @@ ABLATION_TOGGLES = ("forgetting", "annealing", "resurrect")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
+    None when numpy's BLAS has no such symbols (MKL, Accelerate)."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            blas = ctypes.CDLL(str(lib))
+            get = blas.scipy_openblas_get_num_threads64_
+            put = blas.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        put.argtypes, put.restype = (ctypes.c_int,), None
+        return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread, then restore its count:
+    ``main`` may run inside a host process."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    saved = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(saved)
+
+
+def _blas_info() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        vendor = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26
+        vendor = "unknown"
+    threads = _openblas_threads()
+    return {"vendor": vendor,
+            "threads": threads[0]() if threads else
+            "not pinned: no OpenBLAS thread-count symbol"}
+
+
 def _write_manifest(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["version"] = __version__
+    payload["blas"] = _blas_info()
     with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -343,7 +394,8 @@ def main(argv=None) -> int:
     # package logger's level is what lets records reach a host's handlers
     logging.basicConfig(level=args.log_level.upper(), format="%(message)s")
     logging.getLogger(__package__).setLevel(args.log_level.upper())
-    return args.func(args)
+    with _one_blas_thread():
+        return args.func(args)
 
 
 def entry() -> None:

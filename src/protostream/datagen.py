@@ -118,13 +118,18 @@ def run_horizon(n_rows: int, batch_size: int, epochs: int) -> int:
 
 def make_views(x: np.ndarray, n_views: int, noise: float, dropout: float,
                rng: np.random.Generator) -> np.ndarray:
-    """Stochastic views: additive Gaussian noise plus coordinate dropout."""
+    """Stochastic views: additive Gaussian noise plus coordinate dropout.
+
+    Each view is drawn and transformed in its slice of the result, so the
+    only temporaries are the dropout draw and its mask; ``z * noise + x``
+    and the in-place masked product are the bits of ``(x + noise * z) * mask``.
+    """
     b, d = x.shape
     views = np.empty((n_views, b, d))
-    for j in range(n_views):
-        v = x + noise * rng.standard_normal((b, d))
+    for v in views:
+        rng.standard_normal(out=v)
+        v *= noise
+        v += x
         if dropout > 0.0:
-            mask = rng.random((b, d)) >= dropout
-            v = v * mask
-        views[j] = v
+            v *= rng.random((b, d)) >= dropout
     return views

@@ -15,7 +15,8 @@ log-likelihood needs no second pass.
 
 Once a batch's N * K * D reaches ``_SPLIT_MIN`` (2**22), the (N, K) work of
 ``gmm_update``, ``e_step``, ``log_likelihood`` and ``batch_suffstats`` runs
-in two halves, the first on a module-level helper thread.  The densities,
+in two halves, the first on the process's one helper thread, which the
+simulator also uses (see ``_helper_pool``).  The densities,
 responsibilities and log-sum-exp split by batch rows, and every reduction
 in them is per row; the statistic products split by components, and each
 sum still runs over all N rows.  So the outputs are the bits of one pass,
@@ -64,14 +65,18 @@ _SPREAD_STEP = 0.35
 # an update's (N, K) work runs in two halves once N * K * D reaches this;
 # see _in_halves
 _SPLIT_MIN = 1 << 22
-_helper = (None, None)  # (process id, pool) of the thread that runs first halves
+_helper = (None, None)  # (process id, pool) of the process's helper thread
 
 
 def _helper_pool() -> ThreadPoolExecutor:
-    """This process's one-thread pool.  A forked child inherits the parent's
-    pool but not its thread, where a submit would wait forever, so each
-    process makes its own on first use.  (An ``os.register_at_fork`` hook
-    would keep this module, its pool and its thread alive past a re-import.)"""
+    """This process's one-thread pool, shared by the package: it runs the
+    first halves of ``_in_halves`` and the simulator's set-up spread and
+    one-batch-ahead views.  No task on it may wait on another task on it,
+    so a task only ever queues behind another.  A forked child inherits the
+    parent's pool but not its thread, where a submit would wait forever, so
+    each process makes its own on first use.  (An ``os.register_at_fork``
+    hook would keep this module, its pool and its thread alive past a
+    re-import.)"""
     global _helper
     # callers racing here may each make a pool; every pool runs the work
     # submitted to it, and the one not kept is collected with its thread
@@ -92,7 +97,9 @@ def _in_halves(task, size: int, work: int) -> None:
     product (K=1 or D=1) groups its rows as the whole one does.  The task
     must write only its own slices of arrays the caller allocated, and call
     no public function: perfbench's spans wrap those on one stack shared by
-    all threads.
+    all threads.  The helper is shared, so in a simulation the first half
+    may queue behind the next batch's views; they wait on nothing, so the
+    wait ends.
     """
     cut = size // 8 * 4
     if work < _SPLIT_MIN or cut == 0:

@@ -8,12 +8,21 @@ never touches them.  Telemetry tracks the consistency loss, unique-prototype
 counts on an epsilon grid, and nearest-class-centroid probe accuracy split by
 head/medium/tail class frequency.
 ``SimConfig`` only declares its keys; ``protostream.settings`` reads config files.
+
+Two pieces of a run do not depend on the step before them, and run on the
+mixture's helper thread, the process's one: ``init_sim`` spreads the
+prototypes while it draws the data, and ``run_experiment`` draws each
+batch's views while the step before runs.  Each draws from its own
+generator, one task at a time and in order, so a run's bits are those of
+the sequential loop on any number of cores.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from concurrent.futures import wait
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,8 +33,8 @@ from .collapse import DEFAULT_EPSILON_GRID, count_unique, normalize_rows
 from .datagen import (DataSpec, Dataset, make_dataset, make_views, run_horizon,
                       shuffled_batches)
 from .encoder import EncoderParams, backward, forward, init_encoder
-from .mixture import (GmmConfig, MixtureState, gmm_update, init_mixture,
-                      spread_unit_vectors)
+from .mixture import (GmmConfig, MixtureState, _helper_pool, gmm_update,
+                      init_mixture, spread_unit_vectors)
 from .settings import check_settings, config_from_text, config_to_mapping, setting
 
 logger = logging.getLogger(__name__)
@@ -243,11 +252,18 @@ def init_sim(cfg: SimConfig) -> tuple[SimState, Dataset]:
     data_rng = np.random.default_rng([cfg.seed, 0])
     enc_rng = np.random.default_rng([cfg.seed, 1])
     proto_rng = np.random.default_rng([cfg.seed, 2])
-    dataset = make_dataset(cfg.data, data_rng)
+    # the spread runs on the helper thread while this one draws the data:
+    # each draws from its own generator
+    spread = _helper_pool().submit(spread_unit_vectors, cfg.n_prototypes,
+                                   cfg.latent_dim, proto_rng)
+    try:
+        dataset = make_dataset(cfg.data, data_rng)
+    finally:
+        wait((spread,))
+    protos = spread.result()
     student = init_encoder(cfg.data.input_dim, cfg.hidden, cfg.latent_dim,
                            enc_rng)
     teacher = student.copy()
-    protos = spread_unit_vectors(cfg.n_prototypes, cfg.latent_dim, proto_rng)
     mixture = None
     if cfg.regime == "decoupled":
         horizon = run_horizon(dataset.x_train.shape[0], cfg.batch_size, cfg.epochs)
@@ -309,6 +325,36 @@ def _snapshot_state(state: SimState, epoch: int) -> MixtureState:
     )
 
 
+def _epoch_views(config: SimConfig, x_train: np.ndarray, epoch: int):
+    """Yield the views of each of one epoch's batches, each drawn on the
+    helper thread while the caller steps on the batch before.
+
+    Only the helper draws from the epoch's ``[seed, 3, epoch]`` generator,
+    one task at a time and in batch order, so the draws are those of a
+    sequential loop.  Closing the generator waits for the pending draw.
+    ``make_views`` is public, so under perfbench's tracer, whose span stack
+    is shared by all threads, its spans take a parent from this thread.
+    """
+    rng = np.random.default_rng([config.seed, 3, epoch])
+    batches = shuffled_batches(x_train, config.batch_size, rng)
+
+    def draw():
+        batch = next(batches, None)
+        if batch is None:
+            return None
+        return make_views(batch, config.views, config.view_noise,
+                          config.view_dropout, rng)
+
+    helper = _helper_pool()
+    pending = helper.submit(draw)
+    try:
+        while (views := pending.result()) is not None:
+            pending = helper.submit(draw)
+            yield views
+    finally:
+        wait((pending,))
+
+
 def run_experiment(config: SimConfig,
                    out_dir: str | Path | None = None) -> ExperimentResult:
     """Run the full training loop; deterministic given config.seed.
@@ -335,19 +381,17 @@ def run_experiment(config: SimConfig,
 
     log_epoch(0, float("nan"))
     for epoch in range(1, config.epochs + 1):
-        rng = np.random.default_rng([config.seed, 3, epoch])
         losses = []
-        for batch in shuffled_batches(dataset.x_train, config.batch_size, rng):
-            views = make_views(batch, config.views, config.view_noise,
-                               config.view_dropout, rng)
-            # one teacher pass over the stacked views: the mixture's data
-            # in the decoupled regime and the student's targets in both
-            h_t, _ = forward(state.teacher, views.reshape(-1, views.shape[2]))
-            if config.regime == "decoupled":
-                state = prototype_step_decoupled(state, h_t)
-            state, loss = student_step(state, views, h_t)
-            state = teacher_step(state)
-            losses.append(loss)
+        with closing(_epoch_views(config, dataset.x_train, epoch)) as epoch_views:
+            for views in epoch_views:
+                # one teacher pass over the stacked views: the mixture's data
+                # in the decoupled regime and the student's targets in both
+                h_t, _ = forward(state.teacher, views.reshape(-1, views.shape[2]))
+                if config.regime == "decoupled":
+                    state = prototype_step_decoupled(state, h_t)
+                state, loss = student_step(state, views, h_t)
+                state = teacher_step(state)
+                losses.append(loss)
         log_epoch(epoch, float(np.mean(losses)) if losses else float("nan"))
     result.state = state
     if result.telemetry_path is not None:

@@ -167,6 +167,18 @@ def oracle_make_dataset(sizes, input_dim, spread, test_fraction, rng):
             np.concatenate(ys_test), centers, np.array(train_counts, dtype=np.int64))
 
 
+def oracle_make_views(x, n_views, noise, dropout, rng):
+    """Views built out of place: ``(x + noise * z) * mask``, one at a time."""
+    b, d = x.shape
+    views = np.empty((n_views, b, d))
+    for j in range(n_views):
+        v = x + noise * rng.standard_normal((b, d))
+        if dropout > 0.0:
+            v = v * (rng.random((b, d)) >= dropout)
+        views[j] = v
+    return views
+
+
 def oracle_greedy_partition(rows, epsilon):
     """Greedy first-fit partition of unit rows, scalar loops.
 

@@ -570,6 +570,65 @@ class TestClusterStream:
             (tmp_path / "b.ckpt.loglik.csv").read_bytes()
 
 
+class TestBlasThreads:
+    """``main`` runs a command on one OpenBLAS thread and restores the count."""
+
+    @staticmethod
+    def analyze(tmp_path):
+        protos = tmp_path / "protos.csv"
+        write_matrix_csv(np.eye(3), protos)
+        assert main(["analyze", "--protos", str(protos),
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        return json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+
+    def test_one_thread_during_the_command_then_restored(self, tmp_path):
+        threads = cli._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread-count symbol")
+        get, put = threads
+        saved = get()
+        put(2)
+        try:
+            manifest = self.analyze(tmp_path)
+            assert get() == 2
+        finally:
+            put(saved)
+        assert manifest["blas"]["threads"] == 1
+        assert manifest["blas"]["vendor"]
+
+    def test_cluster_stream_bytes_do_not_depend_on_the_callers_threads(self, tmp_path):
+        # OpenBLAS's threaded GEMM rounds some (97, 64) x (64, 97) entries
+        # differently on AVX-512 hosts; under main's one thread it cannot
+        threads = cli._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread-count symbol")
+        get, put = threads
+        rng = np.random.default_rng(0)
+        base = rng.standard_normal((128, 64))
+        features = tmp_path / "features.csv"
+        write_matrix_csv(base[rng.integers(0, 128, size=4096)]
+                         + 0.05 * rng.standard_normal((4096, 64)), features)
+        saved = get()
+        written = []
+        try:
+            for count in (1, 2):
+                put(count)
+                out = tmp_path / f"threads{count}.ckpt"
+                assert main(["cluster-stream", "--features", str(features),
+                             "--out", str(out), "-k", "97", "--batch-size", "97",
+                             "--epochs", "1", "--seed", "1"]) == 0
+                written.append((out.read_bytes(),
+                                Path(f"{out}.loglik.csv").read_bytes()))
+        finally:
+            put(saved)
+        assert written[0] == written[1]
+
+    def test_missing_symbol_is_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        manifest = self.analyze(tmp_path)
+        assert manifest["blas"]["threads"].startswith("not pinned")
+
+
 class TestDeterminismAcrossCommands:
     def test_simulate_bitwise_repeatable(self, tmp_path):
         cfg = write_config(tmp_path)

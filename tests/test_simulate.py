@@ -1,13 +1,21 @@
 import dataclasses
+import math
 import pickle
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from protostream.datagen import DataSpec, class_sizes, make_dataset, make_views
+import protostream.simulate as simulate
+from protostream.checkpoint import save_checkpoint
+from protostream.datagen import (DataSpec, class_sizes, make_dataset, make_views,
+                                 shuffled_batches)
 from protostream.encoder import forward, init_encoder
-from protostream.mixture import GmmConfig, gmm_update, init_mixture, m_step
+from protostream.mixture import (GmmConfig, _helper_pool, gmm_update, init_mixture,
+                                 m_step, spread_unit_vectors)
 from protostream.settings import ConfigError, config_to_mapping
 from protostream.simulate import (
     KNOWN_KEYS,
@@ -352,6 +360,15 @@ class TestDataAndEncoder:
             assert actual.shape == expected.shape, name
             assert actual.tobytes() == expected.tobytes(), name
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_make_views_matches_out_of_place_formula(self, dropout):
+        # in place, z * noise + x and the masked product give the same bits,
+        # signed zeros included
+        x = np.random.default_rng(5).standard_normal((37, 11))
+        got = make_views(x, 3, 0.1, dropout, np.random.default_rng(6))
+        want = oracles.oracle_make_views(x, 3, 0.1, dropout, np.random.default_rng(6))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_forward_is_normalized_tanh_mlp(self):
         rng = np.random.default_rng(4)
         params = init_encoder(6, 9, 5, rng)
@@ -408,6 +425,118 @@ class TestRunExperiment:
         cfg = tiny_config(epochs=2)
         result = run_experiment(cfg)
         assert result.telemetry[-1].acc_all > 1.0 / cfg.data.n_classes
+
+
+class SlowHelper:
+    """Stands in for the mixture's helper pool: keeps every future and delays
+    each task, so that a task left pending would still be running."""
+
+    def __init__(self):
+        self.futures = []
+
+    def submit(self, fn, *args):
+        def slow():
+            time.sleep(0.005)
+            return fn(*args)
+
+        self.futures.append(_helper_pool().submit(slow))
+        return self.futures[-1]
+
+
+def sequential_run(config, snapshot_dir):
+    """run_experiment's loop with every view drawn on the calling thread."""
+    state, dataset = init_sim(config)
+    config = state.config
+    rows = []
+
+    def log_epoch(epoch, loss):
+        rows.append(simulate._telemetry_row(state, dataset, epoch, loss))
+        save_checkpoint(simulate._snapshot_state(state, epoch),
+                        snapshot_dir / f"epoch_{epoch:04d}.ckpt")
+
+    log_epoch(0, float("nan"))
+    for epoch in range(1, config.epochs + 1):
+        rng = np.random.default_rng([config.seed, 3, epoch])
+        losses = []
+        for batch in shuffled_batches(dataset.x_train, config.batch_size, rng):
+            views = make_views(batch, config.views, config.view_noise,
+                               config.view_dropout, rng)
+            h_t = teacher_latents(state, views)
+            if config.regime == "decoupled":
+                state = prototype_step_decoupled(state, h_t)
+            state, loss = student_step(state, views, h_t)
+            state = teacher_step(state)
+            losses.append(loss)
+        log_epoch(epoch, float(np.mean(losses)))
+    return rows, state
+
+
+class TestHelperThread:
+    """The views of the next batch and the prototype spread run on the
+    mixture's helper thread; the results are the bits of the sequential run."""
+
+    @pytest.mark.parametrize("regime", ["joint", "decoupled"])
+    def test_run_matches_sequential_loop(self, tmp_path, regime):
+        # 128 training rows in batches of 30 leave a short last batch
+        config = tiny_config(regime=regime, views=3, epochs=2, batch_size=30)
+        result = run_experiment(config, out_dir=tmp_path / "run")
+        rows, state = sequential_run(config, tmp_path / "ref")
+        assert len(result.dataset.x_train) % config.batch_size != 0
+        # repr prints every float to the last bit, nan and -0.0 included
+        assert repr(result.telemetry) == repr(rows)
+        for path in result.snapshot_paths:
+            assert path.read_bytes() == (tmp_path / "ref" / path.name).read_bytes()
+        got, want = result.state, state
+        for a, b in [(got.student.w1, want.student.w1), (got.student.w2, want.student.w2),
+                     (got.teacher.w1, want.teacher.w1), (got.teacher.w2, want.teacher.w2),
+                     (got.prototypes, want.prototypes)]:
+            assert a.tobytes() == b.tobytes()
+        assert len(result.snapshot_paths) == config.epochs + 1
+
+    @pytest.mark.parametrize("regime", ["joint", "decoupled"])
+    def test_failing_step_raises_after_its_prefetch(self, monkeypatch, regime):
+        helper = SlowHelper()
+        monkeypatch.setattr(simulate, "_helper_pool", lambda: helper)
+        norms = []
+
+        def norm_then_nan(grads):
+            norms.append(None)
+            return math.nan if len(norms) == 3 else 1.0
+
+        monkeypatch.setattr(simulate, "_global_norm", norm_then_nan)
+        with pytest.raises(ValueError, match="step 2: gradient norm is nan"):
+            try:
+                run_experiment(tiny_config(regime=regime))
+            finally:  # as the error leaves run_experiment
+                done = [future.done() for future in helper.futures]
+        # the spread, and the views of batches 1 to 4 (the 4th drawn ahead)
+        assert done == [True] * 5
+
+    def test_concurrent_runs_share_the_helper(self):
+        # more callers than cores queue their draws on the one helper; each
+        # run's draws stay in its own order
+        config = tiny_config(views=3, batch_size=30)
+
+        def run():
+            result = run_experiment(config)
+            return repr(result.telemetry), result.state.prototypes.tobytes()
+
+        want = run()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                runs = [callers.submit(run) for _ in range(8)]
+                results = [r.result(timeout=60) for r in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [want] * 8
+
+    def test_joint_prototypes_are_the_spread(self):
+        config = tiny_config(regime="joint", seed=4)
+        state, _ = init_sim(config)
+        want = spread_unit_vectors(8, 4, np.random.default_rng([4, 2]))
+        assert state.prototypes.tobytes() == want.tobytes()
 
 
 class TestConfigText:
