@@ -25,7 +25,7 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from multiprocessing import get_context
 from pathlib import Path
@@ -37,7 +37,8 @@ from .analysis import DegenerateRankError, export_prototype_kde
 from .checkpoint import atomic_open, load_matrix, save_checkpoint, write_csv
 from .collapse import DEFAULT_EPSILON_GRID, angular_stats, epsilon_sweep, normalize_rows
 from .datagen import run_horizon, shuffled_batches
-from .mixture import DegenerateComponentError, GmmConfig, gmm_update, init_mixture
+from .mixture import (DegenerateComponentError, GmmConfig, _fork_join, gmm_update,
+                      init_mixture)
 from .settings import ConfigError, config_to_mapping, with_settings
 from .simulate import run_experiment, sim_config_from_text
 
@@ -150,8 +151,9 @@ def _simulate_one(job):
             [result.telemetry_path, *result.snapshot_paths])
 
 
-def _simulate_pool(jobs: list, workers: int) -> list:
-    """Run grid jobs in ``workers`` spawned processes, one BLAS thread each.
+def _simulate_pool(run, jobs: list, workers: int) -> list:
+    """``[run(job) for job in jobs]`` in ``workers`` spawned processes, one
+    BLAS thread each; ``run`` must be a module-level function.
 
     Forked workers would keep the parent's BLAS thread pool and contend for
     the cores.  A spawned worker reads the thread variables when it imports
@@ -163,7 +165,7 @@ def _simulate_pool(jobs: list, workers: int) -> list:
     try:
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=get_context("spawn")) as pool:
-            return list(pool.map(_simulate_one, jobs))
+            return list(pool.map(run, jobs))
     finally:
         for var, value in saved.items():
             if value is None:
@@ -203,7 +205,7 @@ def cmd_simulate(args) -> int:
             config = with_settings(config, {"sim.seed": args.seed})
         jobs = [(with_settings(config, toggles), run_dir) for toggles, run_dir in runs]
         if args.grid and args.workers > 1:
-            results = _simulate_pool(jobs, args.workers)
+            results = _simulate_pool(_simulate_one, jobs, args.workers)
         else:
             results = [_simulate_one(job) for job in jobs]
         # the config as it ran: init_sim resolves gmm.total_steps
@@ -233,12 +235,11 @@ def cmd_analyze(args) -> int:
         epsilons = _parse_epsilons(args.epsilons)
         rows = load_matrix(args.protos)
         protos = normalize_rows(rows)
-        # both calls only read the rows and numpy releases the GIL in their
-        # GEMMs and ufuncs, so the angles run on a second thread
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            angles = pool.submit(angular_stats, protos) if protos.k >= 2 else None
-            reports = epsilon_sweep(protos, epsilons)
-            stats = angles.result() if angles is not None else None
+        # both only read the rows and numpy releases the GIL in their GEMMs
+        # and ufuncs, so the angles run on the helper thread
+        stats, reports = _fork_join(
+            lambda: angular_stats(protos) if protos.k >= 2 else None,
+            lambda: epsilon_sweep(protos, epsilons))
         write_csv(out_csv, ("epsilon", "unique_count", "unique_fraction"),
                   ((r.epsilon, r.unique_count, r.unique_fraction) for r in reports))
         outputs = [out_csv]

@@ -15,8 +15,9 @@ log-likelihood needs no second pass.
 
 Once a batch's N * K * D reaches ``_SPLIT_MIN`` (2**22), the (N, K) work of
 ``gmm_update``, ``e_step``, ``log_likelihood`` and ``batch_suffstats`` runs
-in two halves, the first on the process's one helper thread, which the
-simulator also uses (see ``_helper_pool``).  The densities,
+in two halves, the first on the process's one helper thread through
+``_fork_join``, the package's one way onto a second core, which the
+simulator and ``analyze`` also use (see ``_helper_pool``).  The densities,
 responsibilities and log-sum-exp split by batch rows, and every reduction
 in them is per row; the statistic products split by components, and each
 sum still runs over all N rows.  So the outputs are the bits of one pass,
@@ -69,12 +70,18 @@ _helper = (None, None)  # (process id, pool) of the process's helper thread
 
 
 def _helper_pool() -> ThreadPoolExecutor:
-    """This process's one-thread pool, shared by the package: it runs the
-    first halves of ``_in_halves`` and the simulator's set-up spread and
-    one-batch-ahead views.  No task on it may wait on another task on it,
-    so a task only ever queues behind another.  A forked child inherits the
-    parent's pool but not its thread, where a submit would wait forever, so
-    each process makes its own on first use.  (An ``os.register_at_fork``
+    """This process's one helper thread, reached only through ``_fork_join``:
+    it runs the ``there`` tasks one at a time, in submission order.
+
+    The rules: a ``there`` task never calls ``_fork_join``, which would wait
+    on a task queued behind itself.  A ``here`` task may; its ``there`` then
+    queues behind the helper's current task, which waits on nothing.  Each
+    task writes only what it alone owns, its random generator included.
+    ``make_views`` and ``angular_stats`` run on the helper and are public, so
+    under perfbench's ``--trace 1``, whose span stack all threads share,
+    their spans take a parent from the calling thread.  A forked child
+    inherits the pool but not its thread, where a submit would wait forever,
+    so each process makes its own on first use.  (An ``os.register_at_fork``
     hook would keep this module, its pool and its thread alive past a
     re-import.)"""
     global _helper
@@ -85,31 +92,38 @@ def _helper_pool() -> ThreadPoolExecutor:
     return _helper[1]
 
 
+def _fork_join(there, here):
+    """Run ``there()`` on the helper thread and ``here()`` on this one, and
+    return ``(there(), here())`` once both have finished.  An error from
+    ``here`` is raised after ``there`` has finished, whatever ``there`` did;
+    one from ``there``, after ``here`` returns.  ``_helper_pool`` states the
+    rules the two tasks keep."""
+    pending = _helper_pool().submit(there)
+    try:
+        result = here()
+    except BaseException:
+        pending.exception()  # waits, and leaves here's error to propagate
+        raise
+    return pending.result(), result
+
+
 def _in_halves(task, size: int, work: int) -> None:
     """Run ``task(lo, hi)`` over ``[0, size)``, whole or in two halves.
 
     Halves are used when ``work``, the update's N * K * D, reaches
     ``_SPLIT_MIN``: ``[0, cut)`` runs on the helper thread and ``[cut, size)``
-    here, and both have finished on return.  The smaller half holds at least
-    4/15 of the work, so each half's products take over 10**6 multiply-adds:
-    below that, OpenBLAS on AVX-512 hosts picks a small-matrix kernel that
-    rounds differently.  ``cut`` is a multiple of 4, so a matrix-vector
-    product (K=1 or D=1) groups its rows as the whole one does.  The task
-    must write only its own slices of arrays the caller allocated, and call
-    no public function: perfbench's spans wrap those on one stack shared by
-    all threads.  The helper is shared, so in a simulation the first half
-    may queue behind the next batch's views; they wait on nothing, so the
-    wait ends.
+    here, through ``_fork_join``.  The smaller half holds at least 4/15 of
+    the work, so each half's products take over 10**6 multiply-adds: below
+    that, OpenBLAS on AVX-512 hosts picks a small-matrix kernel that rounds
+    differently.  ``cut`` is a multiple of 4, so a matrix-vector product
+    (K=1 or D=1) groups its rows as the whole one does.  The task writes
+    only its own slices of arrays the caller allocated.
     """
     cut = size // 8 * 4
     if work < _SPLIT_MIN or cut == 0:
         task(0, size)
-        return
-    first = _helper_pool().submit(task, 0, cut)
-    try:
-        task(cut, size)
-    finally:
-        first.result()
+    else:
+        _fork_join(lambda: task(0, cut), lambda: task(cut, size))
 
 
 class DegenerateComponentError(RuntimeError):

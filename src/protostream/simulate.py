@@ -10,20 +10,19 @@ head/medium/tail class frequency.
 ``SimConfig`` only declares its keys; ``protostream.settings`` reads config files.
 
 Two pieces of a run do not depend on the step before them, and run on the
-mixture's helper thread, the process's one: ``init_sim`` spreads the
-prototypes while it draws the data, and ``run_experiment`` draws each
-batch's views while the step before runs.  Each draws from its own
-generator, one task at a time and in order, so a run's bits are those of
-the sequential loop on any number of cores.
+mixture's helper thread through ``_fork_join``: ``init_sim`` spreads the
+prototypes while it draws the data, and each step of ``run_experiment``
+draws the next batch's views while it trains on the current one.  Each
+draws from its own generator, one draw at a time and in order, so a run's
+bits are those of the sequential loop on any number of cores.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import wait
-from contextlib import closing
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from .collapse import DEFAULT_EPSILON_GRID, count_unique, normalize_rows
 from .datagen import (DataSpec, Dataset, make_dataset, make_views, run_horizon,
                       shuffled_batches)
 from .encoder import EncoderParams, backward, forward, init_encoder
-from .mixture import (GmmConfig, MixtureState, _helper_pool, gmm_update,
+from .mixture import (GmmConfig, MixtureState, _fork_join, gmm_update,
                       init_mixture, spread_unit_vectors)
 from .settings import check_settings, config_from_text, config_to_mapping, setting
 
@@ -252,15 +251,9 @@ def init_sim(cfg: SimConfig) -> tuple[SimState, Dataset]:
     data_rng = np.random.default_rng([cfg.seed, 0])
     enc_rng = np.random.default_rng([cfg.seed, 1])
     proto_rng = np.random.default_rng([cfg.seed, 2])
-    # the spread runs on the helper thread while this one draws the data:
-    # each draws from its own generator
-    spread = _helper_pool().submit(spread_unit_vectors, cfg.n_prototypes,
-                                   cfg.latent_dim, proto_rng)
-    try:
-        dataset = make_dataset(cfg.data, data_rng)
-    finally:
-        wait((spread,))
-    protos = spread.result()
+    protos, dataset = _fork_join(
+        lambda: spread_unit_vectors(cfg.n_prototypes, cfg.latent_dim, proto_rng),
+        lambda: make_dataset(cfg.data, data_rng))
     student = init_encoder(cfg.data.input_dim, cfg.hidden, cfg.latent_dim,
                            enc_rng)
     teacher = student.copy()
@@ -325,34 +318,15 @@ def _snapshot_state(state: SimState, epoch: int) -> MixtureState:
     )
 
 
-def _epoch_views(config: SimConfig, x_train: np.ndarray, epoch: int):
-    """Yield the views of each of one epoch's batches, each drawn on the
-    helper thread while the caller steps on the batch before.
-
-    Only the helper draws from the epoch's ``[seed, 3, epoch]`` generator,
-    one task at a time and in batch order, so the draws are those of a
-    sequential loop.  Closing the generator waits for the pending draw.
-    ``make_views`` is public, so under perfbench's tracer, whose span stack
-    is shared by all threads, its spans take a parent from this thread.
-    """
-    rng = np.random.default_rng([config.seed, 3, epoch])
-    batches = shuffled_batches(x_train, config.batch_size, rng)
-
-    def draw():
-        batch = next(batches, None)
-        if batch is None:
-            return None
-        return make_views(batch, config.views, config.view_noise,
-                          config.view_dropout, rng)
-
-    helper = _helper_pool()
-    pending = helper.submit(draw)
-    try:
-        while (views := pending.result()) is not None:
-            pending = helper.submit(draw)
-            yield views
-    finally:
-        wait((pending,))
+def _train_step(state: SimState, views: np.ndarray) -> tuple[SimState, float]:
+    """One step on one batch's views: the state after it, and its loss."""
+    # one teacher pass over the stacked views: the mixture's data in the
+    # decoupled regime and the student's targets in both
+    h_t, _ = forward(state.teacher, views.reshape(-1, views.shape[2]))
+    if state.config.regime == "decoupled":
+        state = prototype_step_decoupled(state, h_t)
+    state, loss = student_step(state, views, h_t)
+    return teacher_step(state), loss
 
 
 def run_experiment(config: SimConfig,
@@ -381,17 +355,19 @@ def run_experiment(config: SimConfig,
 
     log_epoch(0, float("nan"))
     for epoch in range(1, config.epochs + 1):
+        rng = np.random.default_rng([config.seed, 3, epoch])
+        batches = shuffled_batches(dataset.x_train, config.batch_size, rng)
+
+        def draw():  # the next batch's views, or None after the last
+            batch = next(batches, None)
+            return None if batch is None else make_views(
+                batch, config.views, config.view_noise, config.view_dropout, rng)
+
         losses = []
-        with closing(_epoch_views(config, dataset.x_train, epoch)) as epoch_views:
-            for views in epoch_views:
-                # one teacher pass over the stacked views: the mixture's data
-                # in the decoupled regime and the student's targets in both
-                h_t, _ = forward(state.teacher, views.reshape(-1, views.shape[2]))
-                if config.regime == "decoupled":
-                    state = prototype_step_decoupled(state, h_t)
-                state, loss = student_step(state, views, h_t)
-                state = teacher_step(state)
-                losses.append(loss)
+        views = draw()
+        while views is not None:
+            views, (state, loss) = _fork_join(draw, partial(_train_step, state, views))
+            losses.append(loss)
         log_epoch(epoch, float(np.mean(losses)) if losses else float("nan"))
     result.state = state
     if result.telemetry_path is not None:

@@ -10,15 +10,13 @@ class frequency and the tail ranking does not reproduce at desk scale.
 import copy
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 
 import numpy as np
 import pytest
 
 from protostream.analysis import vmf_kde_angles
 from protostream.checkpoint import write_matrix_csv
-from protostream.cli import BLAS_THREAD_VARS, main as cli_main
+from protostream.cli import _simulate_pool, main as cli_main
 from protostream.collapse import count_unique, normalize_rows
 from protostream.datagen import DataSpec
 from protostream.encoder import forward
@@ -302,18 +300,13 @@ class TestAcceptance:
         assert report(8, "angular KDE integrates to one", ok,
                       f"worst |integral - 1| = {worst:.2e} for kappa in {{1, 20}}")
 
-    def test_09_longtail_directional(self, monkeypatch):
+    def test_09_longtail_directional(self):
         started = time.time()
-        # the 10 runs are independent: two worker processes share them.  Each
-        # worker starts fresh with one BLAS thread; forked workers would keep
-        # a BLAS thread per core each and contend for the cores
-        for var in BLAS_THREAD_VARS:
-            monkeypatch.setenv(var, "1")
+        # the 10 runs are independent: two worker processes share them, each
+        # on one BLAS thread, as in ``simulate --grid --workers 2``
         jobs = [(regime, seed) for seed in range(5)
                 for regime in ("decoupled", "joint")]
-        with ProcessPoolExecutor(max_workers=2,
-                                 mp_context=get_context("spawn")) as pool:
-            finals = list(pool.map(_longtail_final_telemetry, jobs))
+        finals = _simulate_pool(_longtail_final_telemetry, jobs, 2)
         wins = tail_wins = 0
         rows = []
         for seed in range(5):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +296,36 @@ class TestAnalyze:
         assert manifest["mean_angle_deg"] == stats.mean_deg
         assert manifest["pairs_used"] == stats.n_pairs_used == 700 * 699 // 2
         assert manifest["pairs_subsampled"] is False
+
+    def test_angles_run_on_the_package_helper(self, tmp_path, monkeypatch):
+        threads = []
+
+        def recorded(protos):
+            threads.append(threading.current_thread().name)
+            return angular_stats(protos)
+
+        monkeypatch.setattr(cli, "angular_stats", recorded)
+        protos = tmp_path / "protos.csv"
+        write_matrix_csv(np.eye(3), protos)
+        assert main(["analyze", "--protos", str(protos),
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert len(threads) == 1 and threads[0].startswith("mixture")
+
+    def test_one_row_writes_no_angles(self, tmp_path):
+        protos = tmp_path / "protos.csv"
+        write_matrix_csv(np.array([[3.0, 4.0, 0.0]]), protos)
+        out = tmp_path / "sweep.csv"
+        assert main(["analyze", "--protos", str(protos), "--out", str(out),
+                     "--epsilons", "0.25,0.5"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "protos.csv", "sweep.csv", "sweep.csv.manifest.json"]
+        assert out.read_text().splitlines()[1:] == ["0.25,1,1", "0.5,1,1"]
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert manifest["prototype_count"] == 1
+        assert manifest["unique_counts"] == {"0.25": 1, "0.5": 1}
+        assert not {"min_angle_deg", "mean_angle_deg", "pairs_used",
+                    "pairs_subsampled"} & manifest.keys()
 
     def test_corrupt_magic_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ckpt"

@@ -3,6 +3,8 @@ import dataclasses
 import logging
 import multiprocessing
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -512,6 +514,77 @@ class TestFusedUpdate:
         state, batch = self.trained(config, steps=0)
         with pytest.raises(ValueError, match=r"batch must be \(n, 4\)"):
             gmm_update(state, batch[:, :3], config)
+
+
+class TestForkJoin:
+    """``_fork_join(there, here)``: ``there`` on the helper thread, ``here``
+    on the caller's, both always waited for."""
+
+    def test_results_in_order_and_threads(self):
+        def there():
+            return "there", threading.current_thread().name
+
+        def here():
+            return "here", threading.current_thread().name
+
+        (a, there_thread), (b, here_thread) = mixture._fork_join(there, here)
+        assert (a, b) == ("there", "here")
+        assert there_thread.startswith("mixture")
+        assert here_thread == threading.current_thread().name
+
+    @pytest.mark.parametrize("there_raises", [False, True])
+    def test_here_error_wins_after_there_finishes(self, there_raises):
+        finished = []
+
+        def there():
+            time.sleep(0.05)
+            finished.append(True)
+            if there_raises:
+                raise KeyError("there")
+
+        def here():
+            raise ValueError("here")
+
+        with pytest.raises(ValueError, match="here"):
+            try:
+                mixture._fork_join(there, here)
+            finally:  # as the error leaves _fork_join
+                done = list(finished)
+        assert done == [True]
+
+    def test_there_error_raised_after_here_returns(self):
+        returned = []
+
+        def there():
+            raise KeyError("there")
+
+        def here():
+            time.sleep(0.05)
+            returned.append(True)
+
+        with pytest.raises(KeyError, match="there"):
+            mixture._fork_join(there, here)
+        assert returned == [True]
+
+    def test_nested_in_here_completes_while_helper_is_busy(self):
+        # the outer there holds the helper until the inner here runs, so the
+        # inner there queues behind it
+        busy = threading.Event()
+
+        def inner_here():
+            busy.set()
+            return "inner here"
+
+        def outer():
+            return mixture._fork_join(
+                lambda: busy.wait(30) and "outer there",
+                lambda: mixture._fork_join(lambda: "inner there", inner_here))
+
+        out = []
+        caller = threading.Thread(target=lambda: out.append(outer()), daemon=True)
+        caller.start()
+        caller.join(60)
+        assert out == [("outer there", ("inner there", "inner here"))]
 
 
 class CountingHelper:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import protostream.mixture as mixture
 import protostream.simulate as simulate
 from protostream.checkpoint import save_checkpoint
 from protostream.datagen import (DataSpec, class_sizes, make_dataset, make_views,
@@ -475,10 +476,14 @@ class TestHelperThread:
     """The views of the next batch and the prototype spread run on the
     mixture's helper thread; the results are the bits of the sequential run."""
 
-    @pytest.mark.parametrize("regime", ["joint", "decoupled"])
-    def test_run_matches_sequential_loop(self, tmp_path, regime):
-        # 128 training rows in batches of 30 leave a short last batch
-        config = tiny_config(regime=regime, views=3, epochs=2, batch_size=30)
+    # 128 training rows in batches of 30 leave a short last batch; in one
+    # batch of 200, each epoch is one step whose helper draw finds no batch
+    @pytest.mark.parametrize(
+        "regime,batch_size",
+        [("joint", 30), ("decoupled", 30), ("joint", 200), ("decoupled", 200)],
+        ids=["joint", "decoupled", "joint-one_batch", "decoupled-one_batch"])
+    def test_run_matches_sequential_loop(self, tmp_path, regime, batch_size):
+        config = tiny_config(regime=regime, views=3, epochs=2, batch_size=batch_size)
         result = run_experiment(config, out_dir=tmp_path / "run")
         rows, state = sequential_run(config, tmp_path / "ref")
         assert len(result.dataset.x_train) % config.batch_size != 0
@@ -496,7 +501,7 @@ class TestHelperThread:
     @pytest.mark.parametrize("regime", ["joint", "decoupled"])
     def test_failing_step_raises_after_its_prefetch(self, monkeypatch, regime):
         helper = SlowHelper()
-        monkeypatch.setattr(simulate, "_helper_pool", lambda: helper)
+        monkeypatch.setattr(mixture, "_helper_pool", lambda: helper)
         norms = []
 
         def norm_then_nan(grads):
@@ -509,8 +514,9 @@ class TestHelperThread:
                 run_experiment(tiny_config(regime=regime))
             finally:  # as the error leaves run_experiment
                 done = [future.done() for future in helper.futures]
-        # the spread, and the views of batches 1 to 4 (the 4th drawn ahead)
-        assert done == [True] * 5
+        # the spread, and the views of batches 2 to 4 (the 4th drawn ahead);
+        # each epoch's first batch is drawn on the calling thread
+        assert done == [True] * 4
 
     def test_concurrent_runs_share_the_helper(self):
         # more callers than cores queue their draws on the one helper; each
