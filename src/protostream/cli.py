@@ -113,7 +113,7 @@ def _run_with_manifest(manifest_path: Path, info: dict, body) -> int:
     status, error, code, failure = "ok", None, EXIT_OK, None
     outputs: list = []
     try:
-        outputs = body() or []
+        outputs = body()
     except ValueError as err:  # ConfigError and CheckpointError included
         status, error, code = "error", str(err), EXIT_USER
     except (DegenerateRankError, DegenerateComponentError) as err:
@@ -143,11 +143,11 @@ def _run_with_manifest(manifest_path: Path, info: dict, body) -> int:
 
 def _simulate_one(job):
     """Run one ``(config, out_dir)`` job; module-level so process pools can
-    pickle it.  Returns only what the manifest reads: the config as it ran,
-    the telemetry row count and the paths written."""
+    pickle it.  Returns only what the manifest reads: the ``gmm.total_steps``
+    the run resolved, the telemetry row count and the paths written."""
     config, out_dir = job
     result = run_experiment(config, out_dir=out_dir)
-    return (config_to_mapping(result.state.config), len(result.telemetry),
+    return (result.state.config.gmm.total_steps, len(result.telemetry),
             [result.telemetry_path, *result.snapshot_paths])
 
 
@@ -156,9 +156,10 @@ def _simulate_pool(run, jobs: list, workers: int) -> list:
     BLAS thread each; ``run`` must be a module-level function.
 
     Forked workers would keep the parent's BLAS thread pool and contend for
-    the cores.  A spawned worker reads the thread variables when it imports
-    numpy, so they are set while the pool runs; the caller's values are
-    restored after, since ``main`` may run inside a host process.
+    the cores.  A spawned worker that imports numpy with the thread variables
+    unset starts OpenBLAS's threads, so they are set before the pool spawns;
+    the caller's values are restored after, since ``main`` may run inside a
+    host process.
     """
     saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
@@ -181,38 +182,34 @@ def _check_flags(*checks) -> None:
             raise ConfigError(flag, f"must be at least {low}, got {value}")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, info: dict) -> list:
+    info.update(config_path=str(args.config), grid=bool(args.grid))
+    _check_flags(("--workers", args.workers, 1))
     out_dir = Path(args.out)
-    manifest = out_dir / "manifest.json"
-    info = {"command": "simulate", "config_path": str(args.config),
-            "seed": args.seed, "grid": bool(args.grid)}
-
-    def body():
-        _check_flags(("--workers", args.workers, 1))
-        runs = [({}, out_dir)]  # (settings, output directory)
-        if args.grid:
-            combos = itertools.product((False, True), repeat=len(ABLATION_TOGGLES))
-            runs = []
-            for values in combos:
-                toggles = dict(zip(ABLATION_TOGGLES, values))
-                name = "_".join(f"{k[:3]}{int(v)}" for k, v in toggles.items())
-                runs.append(({f"gmm.{k}": v for k, v in toggles.items()},
-                             out_dir / name))
-            info["grid_runs"] = [str(run_dir) for _, run_dir in runs]
-        # every config is built and checked here, before any worker starts
-        config = sim_config_from_text(Path(args.config).read_text())
-        if args.seed is not None:
-            config = with_settings(config, {"sim.seed": args.seed})
-        jobs = [(with_settings(config, toggles), run_dir) for toggles, run_dir in runs]
-        if args.grid and args.workers > 1:
-            results = _simulate_pool(_simulate_one, jobs, args.workers)
-        else:
-            results = [_simulate_one(job) for job in jobs]
-        # the config as it ran: init_sim resolves gmm.total_steps
-        info["config"], info["epochs_logged"] = results[0][:2]  # same in every run
-        return [path for _, _, paths in results for path in paths]
-
-    return _run_with_manifest(manifest, info, body)
+    runs = [({}, out_dir)]  # (settings, output directory)
+    if args.grid:
+        combos = itertools.product((False, True), repeat=len(ABLATION_TOGGLES))
+        runs = []
+        for values in combos:
+            toggles = dict(zip(ABLATION_TOGGLES, values))
+            name = "_".join(f"{k[:3]}{int(v)}" for k, v in toggles.items())
+            runs.append(({f"gmm.{k}": v for k, v in toggles.items()},
+                         out_dir / name))
+        info["grid_runs"] = [str(run_dir) for _, run_dir in runs]
+    # every config is built and checked here, before any worker starts
+    config = sim_config_from_text(Path(args.config).read_text())
+    if args.seed is not None:
+        config = with_settings(config, {"sim.seed": args.seed})
+    jobs = [(with_settings(config, toggles), run_dir) for toggles, run_dir in runs]
+    if args.grid and args.workers > 1:
+        results = _simulate_pool(_simulate_one, jobs, args.workers)
+    else:
+        results = [_simulate_one(job) for job in jobs]
+    # the config the runs share: init_sim resolves gmm.total_steps the same
+    # in every run, and a grid run's toggles are spelled by its directory
+    horizon, info["epochs_logged"] = results[0][:2]
+    info["config"] = {**config_to_mapping(config), "gmm.total_steps": str(horizon)}
+    return [path for _, _, paths in results for path in paths]
 
 
 def _parse_epsilons(text: str):
@@ -225,93 +222,71 @@ def _parse_epsilons(text: str):
     return values
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, info: dict) -> list:
+    info["protos_path"] = str(args.protos)
+    epsilons = _parse_epsilons(args.epsilons)
+    protos = normalize_rows(load_matrix(args.protos))
+    # both only read the rows and numpy releases the GIL in their GEMMs
+    # and ufuncs, so the angles run on the helper thread
+    stats, reports = _fork_join(
+        lambda: angular_stats(protos) if protos.k >= 2 else None,
+        lambda: epsilon_sweep(protos, epsilons))
     out_csv = Path(args.out)
-    manifest = Path(str(out_csv) + ".manifest.json")
-    info = {"command": "analyze", "protos_path": str(args.protos),
-            "seed": args.seed}
-
-    def body():
-        epsilons = _parse_epsilons(args.epsilons)
-        rows = load_matrix(args.protos)
-        protos = normalize_rows(rows)
-        # both only read the rows and numpy releases the GIL in their GEMMs
-        # and ufuncs, so the angles run on the helper thread
-        stats, reports = _fork_join(
-            lambda: angular_stats(protos) if protos.k >= 2 else None,
-            lambda: epsilon_sweep(protos, epsilons))
-        write_csv(out_csv, ("epsilon", "unique_count", "unique_fraction"),
-                  ((r.epsilon, r.unique_count, r.unique_fraction) for r in reports))
-        outputs = [out_csv]
-        info["epsilons"] = epsilons
-        info["prototype_count"] = protos.k
-        info["unique_counts"] = {str(r.epsilon): r.unique_count for r in reports}
-        if stats is not None:
-            angles_csv = out_csv.with_name(out_csv.stem + "_angles.csv")
-            edges = stats.hist_edges_deg
-            write_csv(angles_csv, ("angle_deg", "count"),
-                      zip(0.5 * (edges[:-1] + edges[1:]), stats.hist_counts))
-            outputs.append(angles_csv)
-            info["min_angle_deg"] = stats.min_deg
-            info["mean_angle_deg"] = stats.mean_deg
-            info["pairs_used"] = stats.n_pairs_used
-            info["pairs_subsampled"] = stats.subsampled
-        return outputs
-
-    return _run_with_manifest(manifest, info, body)
+    write_csv(out_csv, ("epsilon", "unique_count", "unique_fraction"),
+              ((r.epsilon, r.unique_count, r.unique_fraction) for r in reports))
+    outputs = [out_csv]
+    info["epsilons"] = epsilons
+    info["prototype_count"] = protos.k
+    info["unique_counts"] = {str(r.epsilon): r.unique_count for r in reports}
+    if stats is not None:
+        angles_csv = out_csv.with_name(out_csv.stem + "_angles.csv")
+        edges = stats.hist_edges_deg
+        write_csv(angles_csv, ("angle_deg", "count"),
+                  zip(0.5 * (edges[:-1] + edges[1:]), stats.hist_counts))
+        outputs.append(angles_csv)
+        info.update(min_angle_deg=stats.min_deg, mean_angle_deg=stats.mean_deg,
+                    pairs_used=stats.n_pairs_used, pairs_subsampled=stats.subsampled)
+    return outputs
 
 
-def cmd_export_kde(args) -> int:
-    prefix = Path(args.out_prefix)
-    manifest = Path(str(prefix) + "_manifest.json")
-    info = {"command": "export-kde", "protos_path": str(args.protos),
-            "kappa": args.kappa, "seed": args.seed}
-
-    def body():
-        rows = load_matrix(args.protos)
-        result = export_prototype_kde(rows, prefix, kappa=args.kappa)
-        info["explained_variance"] = list(result["explained_variance"])
-        info["bandwidth"] = list(result["bandwidth"])
-        return [result["gaussian_csv"], result["vmf_csv"]]
-
-    return _run_with_manifest(manifest, info, body)
+def cmd_export_kde(args, info: dict) -> list:
+    info.update(protos_path=str(args.protos), kappa=args.kappa)
+    result = export_prototype_kde(load_matrix(args.protos), Path(args.out_prefix),
+                                  kappa=args.kappa)
+    info["explained_variance"] = list(result["explained_variance"])
+    info["bandwidth"] = list(result["bandwidth"])
+    return [result["gaussian_csv"], result["vmf_csv"]]
 
 
-def cmd_cluster_stream(args) -> int:
+def cmd_cluster_stream(args, info: dict) -> list:
+    info.update(features_path=str(args.features), components=args.components,
+                batch_size=args.batch_size, epochs=args.epochs)
+    _check_flags(("--components", args.components, 1),
+                 ("--batch-size", args.batch_size, 1),
+                 ("--epochs", args.epochs, 0),
+                 ("--seed", args.seed or 0, 0))
+    features = load_matrix(args.features)
+    horizon = run_horizon(len(features), args.batch_size, args.epochs)
+    flags = {k: v for k, v in vars(args).items() if k.startswith("gmm.")}
+    config = with_settings(GmmConfig(total_steps=horizon, rng_seed=args.seed or 0),
+                           flags)
+    info["config"] = config_to_mapping(config)
+    state = init_mixture(args.components, features, config,
+                         np.random.default_rng([config.rng_seed, 1]))
+    ll_rows = []
+    for epoch in range(args.epochs):
+        order_rng = np.random.default_rng([config.rng_seed, 2, epoch])
+        for batch in shuffled_batches(features, args.batch_size, order_rng):
+            update = gmm_update(state, batch, config)
+            ll_rows.append((state.step, update.log_likelihood()))
+            state = update.state
     out_ckpt = Path(args.out)
-    manifest = Path(str(out_ckpt) + ".manifest.json")
-    info = {"command": "cluster-stream", "features_path": str(args.features),
-            "seed": args.seed, "components": args.components,
-            "batch_size": args.batch_size, "epochs": args.epochs}
-
-    def body():
-        _check_flags(("--components", args.components, 1),
-                     ("--batch-size", args.batch_size, 1),
-                     ("--epochs", args.epochs, 0),
-                     ("--seed", args.seed or 0, 0))
-        features = load_matrix(args.features)
-        horizon = run_horizon(len(features), args.batch_size, args.epochs)
-        flags = {k: v for k, v in vars(args).items() if k.startswith("gmm.")}
-        config = with_settings(GmmConfig(total_steps=horizon, rng_seed=args.seed or 0),
-                               flags)
-        info["config"] = config_to_mapping(config)
-        state = init_mixture(args.components, features, config,
-                             np.random.default_rng([config.rng_seed, 1]))
-        ll_rows = []
-        for epoch in range(args.epochs):
-            order_rng = np.random.default_rng([config.rng_seed, 2, epoch])
-            for batch in shuffled_batches(features, args.batch_size, order_rng):
-                update = gmm_update(state, batch, config)
-                ll_rows.append((state.step, update.log_likelihood()))
-                state = update.state
-        save_checkpoint(state, out_ckpt)
-        ll_path = Path(str(out_ckpt) + ".loglik.csv")
-        write_csv(ll_path, ("step", "avg_loglik"), ll_rows)
-        info["final_avg_loglik"] = ll_rows[-1][1] if ll_rows else None
-        info["steps"] = state.step
-        return [out_ckpt, ll_path]
-
-    return _run_with_manifest(manifest, info, body)
+    save_checkpoint(state, out_ckpt)
+    ll_path = Path(str(out_ckpt) + ".loglik.csv")
+    write_csv(ll_path, ("step", "avg_loglik"), ll_rows)
+    info["final_avg_loglik"] = ll_rows[-1][1] if ll_rows else None
+    info["steps"] = state.step
+    return [out_ckpt, ll_path]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "spawned, so a program that calls cli.main with "
                             "more than 1 needs an if __name__ == '__main__' "
                             "guard")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_simulate, manifest=lambda a: Path(a.out) / "manifest.json")
 
     p_an = sub.add_parser("analyze", parents=[common],
                           help="epsilon sweep and angular stats of a prototype file")
@@ -353,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--epsilons",
                       default=",".join(str(e) for e in DEFAULT_EPSILON_GRID),
                       help="comma-separated ascending epsilon grid")
-    p_an.set_defaults(func=cmd_analyze)
+    p_an.set_defaults(func=cmd_analyze,
+                      manifest=lambda a: Path(f"{Path(a.out)}.manifest.json"))
 
     p_kde = sub.add_parser("export-kde", parents=[common],
                            help="PCA projection and KDE CSV exports")
@@ -361,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_kde.add_argument("--out-prefix", required=True)
     p_kde.add_argument("--kappa", type=float, default=20.0,
                        help="von Mises-Fisher concentration")
-    p_kde.set_defaults(func=cmd_export_kde)
+    p_kde.set_defaults(func=cmd_export_kde,
+                       manifest=lambda a: Path(f"{Path(a.out_prefix)}_manifest.json"))
 
     p_cs = sub.add_parser("cluster-stream", parents=[common],
                           help="stream a feature file through the mixture")
@@ -383,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     gmm_flag("--no-annealing", action="store_false", dest="gmm.annealing")
     gmm_flag("--no-forgetting", action="store_false", dest="gmm.forgetting")
     gmm_flag("--no-resurrect", action="store_false", dest="gmm.resurrect")
-    p_cs.set_defaults(func=cmd_cluster_stream)
+    p_cs.set_defaults(func=cmd_cluster_stream,
+                      manifest=lambda a: Path(f"{Path(a.out)}.manifest.json"))
     return parser
 
 
@@ -395,8 +373,12 @@ def main(argv=None) -> int:
     # package logger's level is what lets records reach a host's handlers
     logging.basicConfig(level=args.log_level.upper(), format="%(message)s")
     logging.getLogger(__package__).setLevel(args.log_level.upper())
+    # each subparser sets func, its body, which records its own fields in
+    # info and returns the paths it wrote, and manifest, its manifest path
+    info = {"command": args.command, "seed": args.seed}
     with _one_blas_thread():
-        return args.func(args)
+        return _run_with_manifest(args.manifest(args), info,
+                                  lambda: args.func(args, info))
 
 
 def entry() -> None:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from protostream.checkpoint import (
-    load_checkpoint, read_matrix_csv, write_csv, write_matrix_csv,
+    load_checkpoint, read_matrix_csv, save_checkpoint, write_csv, write_matrix_csv,
 )
 from protostream import cli
 from protostream.cli import BLAS_THREAD_VARS, main
@@ -169,6 +169,19 @@ class TestSimulate:
                    if p.is_file() and p.name != "manifest.json"}
         assert sorted(manifest["outputs"]) == sorted(written)
         assert len(written) == 8 * 3  # telemetry + 2 snapshots per run
+
+    def test_grid_manifest_records_the_shared_config(self, tmp_path):
+        # BASE_CONFIG sets no toggle, so every toggle keeps its default, True;
+        # a grid records the file's config with the horizon its runs resolved,
+        # as a plain run of the file does
+        out = run_grid(tmp_path, 1)
+        grid = json.loads((out / "manifest.json").read_text())["config"]
+        for toggle in cli.ABLATION_TOGGLES:
+            assert grid[f"gmm.{toggle}"] == "True"
+        plain = tmp_path / "plain"
+        assert main(["simulate", "--config", str(tmp_path / "experiment.cfg"),
+                     "--out", str(plain)]) == 0
+        assert grid == json.loads((plain / "manifest.json").read_text())["config"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("text, args, key", [
@@ -455,6 +468,24 @@ class TestClusterStream:
             runs[name] = (out.read_bytes(), Path(f"{out}.loglik.csv").read_bytes(),
                           manifest["config"])
         assert runs["flags"] == runs["bare"]
+
+    def test_zero_epochs_saves_the_initial_mixture(self, tmp_path):
+        features, _ = cluster_file(tmp_path)
+        out = tmp_path / "m.ckpt"
+        assert main(["cluster-stream", "--features", str(features), "--out", str(out),
+                     "-k", "4", "--epochs", "0", "--seed", "5"]) == 0
+        # an empty stream still ramps over one step, and saves its start
+        config = GmmConfig(total_steps=1, rng_seed=5)
+        rows = read_matrix_csv(features)
+        want = tmp_path / "init.ckpt"
+        save_checkpoint(init_mixture(4, rows, config, np.random.default_rng([5, 1])),
+                        want)
+        assert out.read_bytes() == want.read_bytes()
+        assert Path(f"{out}.loglik.csv").read_text() == "step,avg_loglik\n"
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["final_avg_loglik"] is None
+        assert manifest["steps"] == 0
+        assert manifest["config"]["gmm.total_steps"] == "1"
 
     def test_empty_file_exit_2(self, tmp_path):
         empty = tmp_path / "empty.csv"
