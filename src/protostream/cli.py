@@ -17,7 +17,6 @@ A JSON run manifest is written next to the outputs on success and any failure.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import itertools
 import json
@@ -26,19 +25,18 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, mixture
 from .analysis import DegenerateRankError, export_prototype_kde
 from .checkpoint import atomic_open, load_matrix, save_checkpoint, write_csv
 from .collapse import DEFAULT_EPSILON_GRID, angular_stats, epsilon_sweep, normalize_rows
 from .datagen import run_horizon, shuffled_batches
-from .mixture import (DegenerateComponentError, GmmConfig, _fork_join, gmm_update,
-                      init_mixture)
+from .mixture import (DegenerateComponentError, GmmConfig, _fork_join,
+                      _one_blas_thread, gmm_update, init_mixture)
 from .settings import ConfigError, config_to_mapping, with_settings
 from .simulate import run_experiment, sim_config_from_text
 
@@ -52,47 +50,13 @@ ABLATION_TOGGLES = ("forgetting", "annealing", "resurrect")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@functools.cache
-def _openblas_threads():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
-    None when numpy's BLAS has no such symbols (MKL, Accelerate)."""
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            blas = ctypes.CDLL(str(lib))
-            get = blas.scipy_openblas_get_num_threads64_
-            put = blas.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = (), ctypes.c_int
-        put.argtypes, put.restype = (ctypes.c_int,), None
-        return get, put
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with OpenBLAS on one thread, then restore its count:
-    ``main`` may run inside a host process."""
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, put = threads
-    saved = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(saved)
-
-
 def _blas_info() -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         vendor = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy before 1.26
         vendor = "unknown"
-    threads = _openblas_threads()
+    threads = mixture._openblas_threads()
     return {"vendor": vendor,
             "threads": threads[0]() if threads else
             "not pinned: no OpenBLAS thread-count symbol"}

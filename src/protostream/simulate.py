@@ -32,8 +32,8 @@ from .collapse import DEFAULT_EPSILON_GRID, count_unique, normalize_rows
 from .datagen import (DataSpec, Dataset, make_dataset, make_views, run_horizon,
                       shuffled_batches)
 from .encoder import EncoderParams, backward, forward, init_encoder
-from .mixture import (GmmConfig, MixtureState, _fork_join, gmm_update,
-                      init_mixture, spread_unit_vectors)
+from .mixture import (GmmConfig, MixtureState, _fork_join, _one_blas_thread,
+                      _softmax_rows, gmm_update, init_mixture, spread_unit_vectors)
 from .settings import check_settings, config_from_text, config_to_mapping, setting
 
 logger = logging.getLogger(__name__)
@@ -112,10 +112,9 @@ def assign(h: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarray:
         raise ValueError(f"temperature must be positive, got {tau}")
     h = np.asarray(h, dtype=np.float64)
     single = h.ndim == 1
-    scores = np.atleast_2d(h) @ prototypes.T / tau
-    scores -= scores.max(axis=1, keepdims=True)
-    p = np.exp(scores)
-    p /= p.sum(axis=1, keepdims=True)
+    p = np.matmul(np.atleast_2d(h), prototypes.T)
+    p /= tau
+    _softmax_rows(p)
     return p[0] if single else p
 
 
@@ -125,15 +124,19 @@ def consistency_loss(student_probs: np.ndarray, teacher_probs: np.ndarray,
 
     The teacher distribution is a constant target.  For row-batched inputs the
     loss is the row mean and the gradient is (s - t) / (tau * n_rows), i.e.
-    the exact gradient of the returned scalar.
+    the exact gradient of the returned scalar.  A zero teacher entry adds a
+    signed zero to its row (the log is floored, so finite), which moves no
+    bit of a row sum with a nonzero term.
     """
     s = np.atleast_2d(np.asarray(student_probs, dtype=np.float64))
     t = np.atleast_2d(np.asarray(teacher_probs, dtype=np.float64))
     if s.shape != t.shape:
         raise ValueError(f"shape mismatch {s.shape} vs {t.shape}")
     logs = np.log(np.maximum(s, 1e-300))
-    loss = float(np.mean(-np.sum(np.where(t > 0.0, t * logs, 0.0), axis=1)))
-    grad_logits = (s - t) / (tau_student * s.shape[0])
+    logs *= t
+    loss = float(np.mean(-np.sum(logs, axis=1)))
+    grad_logits = np.subtract(s, t)
+    grad_logits /= tau_student * s.shape[0]
     return loss, grad_logits
 
 
@@ -168,7 +171,7 @@ def loss_and_grads(state: SimState, views: np.ndarray, teacher_probs):
             loss, d_logits = consistency_loss(s_probs, teacher_probs[jt],
                                               cfg.tau_student)
             total_loss += loss / n_pairs
-            d_logits = d_logits / n_pairs
+            d_logits /= n_pairs
             d_h += d_logits @ protos
             if d_protos is not None:
                 d_protos += d_logits.T @ h_s
@@ -329,13 +332,16 @@ def _train_step(state: SimState, views: np.ndarray) -> tuple[SimState, float]:
     return teacher_step(state), loss
 
 
+@_one_blas_thread()
 def run_experiment(config: SimConfig,
                    out_dir: str | Path | None = None) -> ExperimentResult:
     """Run the full training loop; deterministic given config.seed.
 
     Writes ``telemetry.csv`` and per-epoch prototype snapshots under
     ``out_dir`` when given.  Telemetry always contains the initialization row,
-    so an ``epochs``-epoch run yields ``epochs + 1`` rows.
+    so an ``epochs``-epoch run yields ``epochs + 1`` rows.  The run uses one
+    OpenBLAS thread, beside the helper thread, and restores the caller's
+    count on return.
     """
     state, dataset = init_sim(config)
     config = state.config  # schedules may have been resolved during init

@@ -5,6 +5,8 @@ plain arrays and imports nothing from the production package, so agreement
 between an oracle and the library is meaningful evidence of correctness.
 The one exception, ``random_mixture``, is a fixture rather than an oracle: it
 draws random parameters and hands them to the package's state constructor.
+The ``reference_*`` functions are vectorized on purpose: they are the
+package's earlier formulas, whose exact bits its in-place arithmetic keeps.
 Sizes are expected to stay small (K, D <= 16, N <= 512); the greedy
 partition also runs on a few hundred rows of low dimension.
 """
@@ -114,6 +116,83 @@ def oracle_cross_entropy(target, probs):
     for t, p in zip(target, probs):
         loss += -t * math.log(p)
     return loss
+
+
+# The simulator's and the mixture's formulas with one fresh array per step
+# and numpy's row max, as the package computed them before it worked in place.
+
+def reference_forward(w1, w2, x):
+    """Encoder forward pass: (latents, cache) as ``encoder.forward`` returns."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    z = x @ w1
+    np.tanh(z, out=z)
+    h = z @ w2
+    norms = np.linalg.norm(h, axis=1, keepdims=True)
+    h /= norms
+    return h, (x, z, norms, h)
+
+
+def reference_backward(w2, cache, d_h):
+    x, z, norms, h = cache
+    gh = np.sum(d_h * h, axis=1, keepdims=True)
+    d_y = (d_h - gh * h) / norms
+    d_w2 = z.T @ d_y
+    d_z = d_y @ w2.T
+    d_a = (1.0 - z * z) * d_z
+    return x.T @ d_a, d_w2
+
+
+def reference_assign(h, prototypes, tau):
+    h = np.asarray(h, dtype=np.float64)
+    single = h.ndim == 1
+    scores = np.atleast_2d(h) @ prototypes.T / tau
+    scores -= scores.max(axis=1, keepdims=True)
+    p = np.exp(scores)
+    p /= p.sum(axis=1, keepdims=True)
+    return p[0] if single else p
+
+
+def reference_consistency_loss(student_probs, teacher_probs, tau_student):
+    s, t = np.atleast_2d(student_probs), np.atleast_2d(teacher_probs)
+    logs = np.log(np.maximum(s, 1e-300))
+    loss = float(np.mean(-np.sum(np.where(t > 0.0, t * logs, 0.0), axis=1)))
+    return loss, (s - t) / (tau_student * s.shape[0])
+
+
+def reference_softmax_rows(scores):
+    """The E-step's row softmax, on a copy."""
+    scores = scores - scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
+    return scores
+
+
+def reference_mean_log_sum_exp(log_w, log_dens):
+    scores = log_w + log_dens
+    m = scores.max(axis=1, keepdims=True)
+    sums = np.sum(np.exp(scores - m), axis=1)
+    return float(np.mean(m[:, 0] + np.log(sums)))
+
+
+def reference_spread_unit_vectors(k, d, rng, iters, sharpness, step):
+    v = rng.standard_normal((k, d))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    if k == 1:
+        return v
+    for _ in range(iters):
+        g = v @ v.T
+        np.fill_diagonal(g, -np.inf)
+        w = np.exp(sharpness * (g - g.max(axis=1, keepdims=True)))
+        push = (w / w.sum(axis=1, keepdims=True)) @ v
+        v = v - step * push
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v
+
+
+def reference_split_plan(weights, threshold):
+    """``split_resurrect``'s dominant components by a loop over all K."""
+    return [int(i) for i in np.argsort(-weights, kind="stable")
+            if weights[i] > threshold]
 
 
 def finite_diff(fn, params, step=1e-5):

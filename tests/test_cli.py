@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from protostream.checkpoint import (
     load_checkpoint, read_matrix_csv, save_checkpoint, write_csv, write_matrix_csv,
 )
-from protostream import cli
+from protostream import cli, mixture, simulate
 from protostream.cli import BLAS_THREAD_VARS, main
 from protostream.collapse import (
     DEFAULT_EPSILON_GRID, angular_stats, epsilon_sweep, normalize_rows,
@@ -644,7 +645,7 @@ class TestBlasThreads:
         return json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
 
     def test_one_thread_during_the_command_then_restored(self, tmp_path):
-        threads = cli._openblas_threads()
+        threads = mixture._openblas_threads()
         if threads is None:
             pytest.skip("numpy's BLAS has no OpenBLAS thread-count symbol")
         get, put = threads
@@ -661,7 +662,7 @@ class TestBlasThreads:
     def test_cluster_stream_bytes_do_not_depend_on_the_callers_threads(self, tmp_path):
         # OpenBLAS's threaded GEMM rounds some (97, 64) x (64, 97) entries
         # differently on AVX-512 hosts; under main's one thread it cannot
-        threads = cli._openblas_threads()
+        threads = mixture._openblas_threads()
         if threads is None:
             pytest.skip("numpy's BLAS has no OpenBLAS thread-count symbol")
         get, put = threads
@@ -685,8 +686,57 @@ class TestBlasThreads:
             put(saved)
         assert written[0] == written[1]
 
+    def test_run_experiment_runs_on_one_thread_and_restores_the_callers(
+            self, tmp_path, monkeypatch):
+        # a library caller gets the CLI's pinning: the helper thread is the
+        # run's one parallelism, and the caller's count comes back after it
+        threads = mixture._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread-count symbol")
+        get, put = threads
+        seen, init_sim = [], simulate.init_sim
+        monkeypatch.setattr(simulate, "init_sim",
+                            lambda config: seen.append(get()) or init_sim(config))
+        config = sim_config_from_text(BASE_CONFIG)
+        saved = get()
+        written = []
+        try:
+            for count in (1, 2):
+                put(count)
+                out = tmp_path / f"threads{count}"
+                simulate.run_experiment(config, out)
+                assert get() == count
+                written.append(sorted((p.relative_to(out), p.read_bytes())
+                                      for p in out.rglob("*") if p.is_file()))
+        finally:
+            put(saved)
+        assert seen == [1, 1]
+        assert written[0] == written[1] and len(written[0]) == 4
+
+    def test_concurrent_runs_restore_the_callers_count(self):
+        # each run saves and restores the process's one count; interleaved
+        # they must still leave the caller's, not an inner run's 1
+        threads = mixture._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread-count symbol")
+        get, put = threads
+        config = sim_config_from_text(BASE_CONFIG)
+        saved, interval = get(), sys.getswitchinterval()
+        put(2)
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                runs = [callers.submit(simulate.run_experiment, config)
+                        for _ in range(8)]
+                for run in runs:
+                    run.result(timeout=60)
+            assert get() == 2
+        finally:
+            sys.setswitchinterval(interval)
+            put(saved)
+
     def test_missing_symbol_is_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(mixture, "_openblas_threads", lambda: None)
         manifest = self.analyze(tmp_path)
         assert manifest["blas"]["threads"].startswith("not pinned")
 
