@@ -6,8 +6,8 @@ file), ``export-kde`` (PCA + planar and angular density CSVs), and
 ``cluster-stream`` (standalone streaming mixture over a feature file).
 
 Every command accepts ``--seed`` and is bitwise reproducible under it: it
-runs with numpy's OpenBLAS on one thread, since a threaded GEMM rounds some
-odd shapes differently, and the manifest records the BLAS and its threads.
+runs under ``cores.one_blas_thread``, and the manifest records the BLAS and
+its threads.  ``analyze`` computes the angles on the helper thread.
 ``-v/--log-level`` (before the subcommand) sets which log messages reach
 stderr; ``-v info`` shows the mixture's split events.  Exit codes: 0 success,
 2 user error, 3 I/O failure, 4 degenerate data, 1 and a traceback otherwise.
@@ -21,22 +21,18 @@ import functools
 import itertools
 import json
 import logging
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, mixture
+from . import __version__, cores
 from .analysis import DegenerateRankError, export_prototype_kde
 from .checkpoint import atomic_open, load_matrix, save_checkpoint, write_csv
 from .collapse import DEFAULT_EPSILON_GRID, angular_stats, epsilon_sweep, normalize_rows
 from .datagen import run_horizon, shuffled_batches
-from .mixture import (DegenerateComponentError, GmmConfig, _fork_join,
-                      _one_blas_thread, gmm_update, init_mixture)
+from .mixture import DegenerateComponentError, GmmConfig, gmm_update, init_mixture
 from .settings import ConfigError, config_to_mapping, with_settings
 from .simulate import run_experiment, sim_config_from_text
 
@@ -47,8 +43,6 @@ EXIT_DEGENERATE = 4
 
 ABLATION_TOGGLES = ("forgetting", "annealing", "resurrect")
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 
 def _blas_info() -> dict:
     try:
@@ -56,7 +50,7 @@ def _blas_info() -> dict:
         vendor = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy before 1.26
         vendor = "unknown"
-    threads = mixture._openblas_threads()
+    threads = cores.openblas_threads()
     return {"vendor": vendor,
             "threads": threads[0]() if threads else
             "not pinned: no OpenBLAS thread-count symbol"}
@@ -115,30 +109,6 @@ def _simulate_one(job):
             [result.telemetry_path, *result.snapshot_paths])
 
 
-def _simulate_pool(run, jobs: list, workers: int) -> list:
-    """``[run(job) for job in jobs]`` in ``workers`` spawned processes, one
-    BLAS thread each; ``run`` must be a module-level function.
-
-    Forked workers would keep the parent's BLAS thread pool and contend for
-    the cores.  A spawned worker that imports numpy with the thread variables
-    unset starts OpenBLAS's threads, so they are set before the pool spawns;
-    the caller's values are restored after, since ``main`` may run inside a
-    host process.
-    """
-    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=get_context("spawn")) as pool:
-            return list(pool.map(run, jobs))
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
 def _check_flags(*checks) -> None:
     """Raise ``ConfigError`` naming the first (flag, value, low) below low."""
     for flag, value, low in checks:
@@ -165,10 +135,7 @@ def cmd_simulate(args, info: dict) -> list:
     if args.seed is not None:
         config = with_settings(config, {"sim.seed": args.seed})
     jobs = [(with_settings(config, toggles), run_dir) for toggles, run_dir in runs]
-    if args.grid and args.workers > 1:
-        results = _simulate_pool(_simulate_one, jobs, args.workers)
-    else:
-        results = [_simulate_one(job) for job in jobs]
+    results = cores.process_map(_simulate_one, jobs, args.workers)
     # the config the runs share: init_sim resolves gmm.total_steps the same
     # in every run, and a grid run's toggles are spelled by its directory
     horizon, info["epochs_logged"] = results[0][:2]
@@ -192,7 +159,7 @@ def cmd_analyze(args, info: dict) -> list:
     protos = normalize_rows(load_matrix(args.protos))
     # both only read the rows and numpy releases the GIL in their GEMMs
     # and ufuncs, so the angles run on the helper thread
-    stats, reports = _fork_join(
+    stats, reports = cores.fork_join(
         lambda: angular_stats(protos) if protos.k >= 2 else None,
         lambda: epsilon_sweep(protos, epsilons))
     out_csv = Path(args.out)
@@ -340,7 +307,7 @@ def main(argv=None) -> int:
     # each subparser sets func, its body, which records its own fields in
     # info and returns the paths it wrote, and manifest, its manifest path
     info = {"command": args.command, "seed": args.seed}
-    with _one_blas_thread():
+    with cores.one_blas_thread():
         return _run_with_manifest(args.manifest(args), info,
                                   lambda: args.func(args, info))
 

@@ -5,11 +5,9 @@ but deep enough that joint prototype optimization has a real encoder to
 shortcut around: input -> W1 -> tanh -> W2 -> L2 normalize.
 
 A forward pass works row by row, so a large one runs in two row halves
-through ``mixture._in_halves``, the first on the package's helper thread,
-with the bits of one pass.  Its measure is the smallest product over all
-rows, N * hidden * min(input_dim, out_dim), so each half's GEMMs stay above
-the 10**6 multiply-adds below which OpenBLAS may round differently.  The
-calling thread allocates every array the halves fill.
+through ``cores.in_halves``, measured as N * hidden * min(input_dim,
+out_dim), its smallest product over all rows.  So a forward pass of split
+size runs only as a ``here`` task of ``cores.fork_join`` or outside one.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixture import _in_halves
+from .cores import in_halves
 
 
 @dataclass
@@ -53,7 +51,7 @@ def forward(params: EncoderParams, x: np.ndarray):
                       keepdims=True, out=ns)
         hs /= np.sqrt(ns, out=ns)
 
-    _in_halves(rows, n, n * hidden * min(d_in, d_out))
+    in_halves(rows, n, n * hidden * min(d_in, d_out))
     return h, (x, z, norms, h)
 
 

@@ -13,18 +13,12 @@ checkpoint, which stores only the statistics, reloads as the saved state.
 with the new state in a ``MixtureUpdate`` record, so the batch's pre-update
 log-likelihood needs no second pass.
 
-Once a batch's N * K * D reaches ``_SPLIT_MIN`` (2**22), the (N, K) work of
-``gmm_update``, ``e_step``, ``log_likelihood`` and ``batch_suffstats`` runs
-in two halves, the first on the process's one helper thread through
-``_fork_join``, the package's one way onto a second core, which the
-simulator and ``analyze`` also use (see ``_helper_pool``).  The densities,
-responsibilities and log-sum-exp split by batch rows, and every reduction
-in them is per row; the statistic products split by components, and each
-sum still runs over all N rows.  So the outputs are the bits of one pass,
-and since the split is always two-way they do not depend on the core count.
-The calling thread allocates every (N, K) array and the halves write into
-their slices: the helper's own allocations would land in a second malloc
-arena and raise the peak memory.
+The (N, K) work of ``gmm_update``, ``e_step``, ``log_likelihood`` and
+``batch_suffstats`` runs through ``cores.in_halves``, measured as N * K * D.
+The densities, responsibilities and log-sum-exp split by batch rows, and
+every reduction in them is per row; the statistic products split by
+components, and each sum still runs over all N rows.  So the outputs are
+the bits of one pass.
 
 One regularizer guards long runs: ``split_resurrect`` halves the mass of an
 over-weighted component into a reinitialized lightest one.  It edits the
@@ -41,19 +35,13 @@ them, from ``simulate`` config files and ``cluster-stream`` flags alike.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import logging
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
+from .cores import in_halves
 from .settings import check_settings, setting
 
 logger = logging.getLogger(__name__)
@@ -67,122 +55,6 @@ _SPLIT_STREAM = 7
 _SPREAD_ITERS = 400
 _SPREAD_SHARPNESS = 12.0
 _SPREAD_STEP = 0.35
-
-# an update's (N, K) work runs in two halves once N * K * D reaches this;
-# see _in_halves
-_SPLIT_MIN = 1 << 22
-_helper = (None, None)  # (process id, pool) of the process's helper thread
-
-
-def _helper_pool() -> ThreadPoolExecutor:
-    """This process's one helper thread, reached only through ``_fork_join``:
-    it runs the ``there`` tasks one at a time, in submission order.
-
-    The rules: a ``there`` task never calls ``_fork_join``, which would wait
-    on a task queued behind itself.  A ``here`` task may; its ``there`` then
-    queues behind the helper's current task, which waits on nothing.  Each
-    task writes only what it alone owns, its random generator included.
-    ``encoder.forward`` on input of split size calls ``_fork_join`` through
-    ``_in_halves``, so it runs only as a ``here`` task or outside one.
-    ``make_views`` and ``angular_stats`` run on the helper and are public, so
-    under perfbench's ``--trace 1``, whose span stack all threads share,
-    their spans take a parent from the calling thread.  A forked child
-    inherits the pool but not its thread, where a submit would wait forever,
-    so each process makes its own on first use.  (An ``os.register_at_fork``
-    hook would keep this module, its pool and its thread alive past a
-    re-import.)"""
-    global _helper
-    # callers racing here may each make a pool; every pool runs the work
-    # submitted to it, and the one not kept is collected with its thread
-    if _helper[0] != os.getpid():
-        _helper = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="mixture"))
-    return _helper[1]
-
-
-def _fork_join(there, here):
-    """Run ``there()`` on the helper thread and ``here()`` on this one, and
-    return ``(there(), here())`` once both have finished.  An error from
-    ``here`` is raised after ``there`` has finished, whatever ``there`` did;
-    one from ``there``, after ``here`` returns.  ``_helper_pool`` states the
-    rules the two tasks keep."""
-    pending = _helper_pool().submit(there)
-    try:
-        result = here()
-    except BaseException:
-        pending.exception()  # waits, and leaves here's error to propagate
-        raise
-    return pending.result(), result
-
-
-def _in_halves(task, size: int, work: int) -> None:
-    """Run ``task(lo, hi)`` over ``[0, size)``, whole or in two halves.
-
-    Halves are used when ``work``, the multiply-adds of the task's smallest
-    product over all rows (an update's N * K * D), reaches ``_SPLIT_MIN``:
-    ``[0, cut)`` runs on the helper thread and ``[cut, size)`` here, through
-    ``_fork_join``.  The smaller half holds at least 4/15 of the work, so
-    each half's products take over 10**6 multiply-adds: below that, OpenBLAS
-    on AVX-512 hosts picks a small-matrix kernel that rounds differently.  ``cut`` is a multiple of 4, so a matrix-vector product
-    (K=1 or D=1) groups its rows as the whole one does.  The task writes
-    only its own slices of arrays the caller allocated.
-    """
-    cut = size // 8 * 4
-    if work < _SPLIT_MIN or cut == 0:
-        task(0, size)
-    else:
-        _fork_join(lambda: task(0, cut), lambda: task(cut, size))
-
-
-@functools.cache
-def _openblas_threads():
-    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or
-    None when numpy's BLAS has no such symbols (MKL, Accelerate)."""
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            blas = ctypes.CDLL(str(lib))
-            get = blas.scipy_openblas_get_num_threads64_
-            put = blas.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = (), ctypes.c_int
-        put.argtypes, put.restype = (ctypes.c_int,), None
-        return get, put
-    return None
-
-
-_pins = (0, None)  # (bodies running under _one_blas_thread, caller's count)
-_pins_lock = threading.Lock()
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with OpenBLAS on one thread, then restore its count.
-
-    The helper thread is the package's one parallelism: a second BLAS
-    thread competes with it for the cores, and a threaded GEMM rounds some
-    odd shapes differently.  The count is the process's, and the body may
-    run inside a host process, nested in another ``_one_blas_thread`` or
-    beside one on another thread: the first body to start saves the
-    caller's count and the last to end restores it."""
-    global _pins
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, put = threads
-    with _pins_lock:
-        running, saved = _pins
-        _pins = (running + 1, get() if running == 0 else saved)
-        put(1)
-    try:
-        yield
-    finally:
-        with _pins_lock:
-            running, saved = _pins
-            _pins = (running - 1, saved)
-            if running == 1:
-                put(saved)
-
 
 def _row_max(a: np.ndarray) -> np.ndarray:
     """Each row's maximum as an (N, 1) column, the bits of
@@ -437,7 +309,7 @@ def _e_step(state: MixtureState, batch: np.ndarray, beta: float
         scores += log_w
         _softmax_rows(scores)
 
-    _in_halves(rows, len(batch), log_dens.size * state.d)
+    in_halves(rows, len(batch), log_dens.size * state.d)
     return log_w, log_dens, resp
 
 
@@ -451,7 +323,7 @@ def _mean_log_sum_exp(log_w: np.ndarray, log_dens: np.ndarray, d: int) -> float:
         sums = np.sum(np.exp(scores, out=scores), axis=1)
         np.add(m[:, 0], np.log(sums), out=per_row[lo:hi])
 
-    _in_halves(rows, len(log_dens), log_dens.size * d)
+    in_halves(rows, len(log_dens), log_dens.size * d)
     return float(np.mean(per_row))
 
 
@@ -468,8 +340,8 @@ def log_likelihood(state: MixtureState, batch: np.ndarray) -> float:
     """Mean per-sample log-likelihood of the batch under the mixture."""
     batch = _check_batch(state, batch)
     log_dens = np.empty((len(batch), state.k))
-    _in_halves(_densities(state, batch, log_dens, np.empty_like(log_dens)),
-               len(batch), log_dens.size * state.d)
+    in_halves(_densities(state, batch, log_dens, np.empty_like(log_dens)),
+              len(batch), log_dens.size * state.d)
     return _mean_log_sum_exp(_log_weights(state), log_dens, state.d)
 
 
@@ -510,7 +382,7 @@ def batch_suffstats(batch: np.ndarray, resp: np.ndarray) -> SufficientStats:
             np.matmul(resp[:, lo:hi].T, moment, out=out[lo:hi])
             out[lo:hi] /= n
 
-    _in_halves(components, k, resp.size * batch.shape[1])
+    in_halves(components, k, resp.size * batch.shape[1])
     return SufficientStats(s_pi, s_mu, s_sigma)
 
 

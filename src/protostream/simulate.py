@@ -10,7 +10,7 @@ head/medium/tail class frequency.
 ``SimConfig`` only declares its keys; ``protostream.settings`` reads config files.
 
 Two pieces of a run do not depend on the step before them, and run on the
-mixture's helper thread through ``_fork_join``: ``init_sim`` spreads the
+helper thread through ``cores.fork_join``: ``init_sim`` spreads the
 prototypes while it draws the data, and each step of ``run_experiment``
 draws the next batch's views while it trains on the current one.  Each
 draws from its own generator, one draw at a time and in order, so a run's
@@ -29,11 +29,12 @@ import numpy as np
 
 from .checkpoint import save_checkpoint, write_csv
 from .collapse import DEFAULT_EPSILON_GRID, count_unique, normalize_rows
+from .cores import fork_join, one_blas_thread
 from .datagen import (DataSpec, Dataset, make_dataset, make_views, run_horizon,
                       shuffled_batches)
 from .encoder import EncoderParams, backward, forward, init_encoder
-from .mixture import (GmmConfig, MixtureState, _fork_join, _one_blas_thread,
-                      _softmax_rows, gmm_update, init_mixture, spread_unit_vectors)
+from .mixture import (GmmConfig, MixtureState, _softmax_rows, gmm_update, init_mixture,
+                      spread_unit_vectors)
 from .settings import check_settings, config_from_text, config_to_mapping, setting
 
 logger = logging.getLogger(__name__)
@@ -254,7 +255,7 @@ def init_sim(cfg: SimConfig) -> tuple[SimState, Dataset]:
     data_rng = np.random.default_rng([cfg.seed, 0])
     enc_rng = np.random.default_rng([cfg.seed, 1])
     proto_rng = np.random.default_rng([cfg.seed, 2])
-    protos, dataset = _fork_join(
+    protos, dataset = fork_join(
         lambda: spread_unit_vectors(cfg.n_prototypes, cfg.latent_dim, proto_rng),
         lambda: make_dataset(cfg.data, data_rng))
     student = init_encoder(cfg.data.input_dim, cfg.hidden, cfg.latent_dim,
@@ -332,7 +333,7 @@ def _train_step(state: SimState, views: np.ndarray) -> tuple[SimState, float]:
     return teacher_step(state), loss
 
 
-@_one_blas_thread()
+@one_blas_thread()
 def run_experiment(config: SimConfig,
                    out_dir: str | Path | None = None) -> ExperimentResult:
     """Run the full training loop; deterministic given config.seed.
@@ -372,7 +373,7 @@ def run_experiment(config: SimConfig,
         losses = []
         views = draw()
         while views is not None:
-            views, (state, loss) = _fork_join(draw, partial(_train_step, state, views))
+            views, (state, loss) = fork_join(draw, partial(_train_step, state, views))
             losses.append(loss)
         log_epoch(epoch, float(np.mean(losses)) if losses else float("nan"))
     result.state = state

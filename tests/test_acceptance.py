@@ -16,8 +16,9 @@ import pytest
 
 from protostream.analysis import vmf_kde_angles
 from protostream.checkpoint import write_matrix_csv
-from protostream.cli import _simulate_pool, main as cli_main
+from protostream.cli import main as cli_main
 from protostream.collapse import count_unique, normalize_rows
+from protostream.cores import process_map
 from protostream.datagen import DataSpec
 from protostream.encoder import forward
 from protostream.mixture import (
@@ -306,7 +307,7 @@ class TestAcceptance:
         # on one BLAS thread, as in ``simulate --grid --workers 2``
         jobs = [(regime, seed) for seed in range(5)
                 for regime in ("decoupled", "joint")]
-        finals = _simulate_pool(_longtail_final_telemetry, jobs, 2)
+        finals = process_map(_longtail_final_telemetry, jobs, 2)
         wins = tail_wins = 0
         rows = []
         for seed in range(5):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -16,11 +17,12 @@ import pytest
 from protostream.checkpoint import (
     load_checkpoint, read_matrix_csv, save_checkpoint, write_csv, write_matrix_csv,
 )
-from protostream import cli, mixture, simulate
-from protostream.cli import BLAS_THREAD_VARS, main
+from protostream import cli, cores, mixture, simulate
+from protostream.cli import main
 from protostream.collapse import (
     DEFAULT_EPSILON_GRID, angular_stats, epsilon_sweep, normalize_rows,
 )
+from protostream.cores import BLAS_THREAD_VARS
 from protostream.datagen import make_dataset, shuffled_batches
 from protostream.mixture import GmmConfig, gmm_update, init_mixture, log_likelihood
 from protostream.simulate import sim_config_from_text
@@ -323,7 +325,7 @@ class TestAnalyze:
         write_matrix_csv(np.eye(3), protos)
         assert main(["analyze", "--protos", str(protos),
                      "--out", str(tmp_path / "sweep.csv")]) == 0
-        assert len(threads) == 1 and threads[0].startswith("mixture")
+        assert len(threads) == 1 and threads[0].startswith("cores")
 
     def test_one_row_writes_no_angles(self, tmp_path):
         protos = tmp_path / "protos.csv"
@@ -645,7 +647,7 @@ class TestBlasThreads:
         return json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
 
     def test_one_thread_during_the_command_then_restored(self, tmp_path):
-        threads = mixture._openblas_threads()
+        threads = cores.openblas_threads()
         if threads is None:
             pytest.skip("numpy's BLAS has no OpenBLAS thread-count symbol")
         get, put = threads
@@ -662,7 +664,7 @@ class TestBlasThreads:
     def test_cluster_stream_bytes_do_not_depend_on_the_callers_threads(self, tmp_path):
         # OpenBLAS's threaded GEMM rounds some (97, 64) x (64, 97) entries
         # differently on AVX-512 hosts; under main's one thread it cannot
-        threads = mixture._openblas_threads()
+        threads = cores.openblas_threads()
         if threads is None:
             pytest.skip("numpy's BLAS has no OpenBLAS thread-count symbol")
         get, put = threads
@@ -690,7 +692,7 @@ class TestBlasThreads:
             self, tmp_path, monkeypatch):
         # a library caller gets the CLI's pinning: the helper thread is the
         # run's one parallelism, and the caller's count comes back after it
-        threads = mixture._openblas_threads()
+        threads = cores.openblas_threads()
         if threads is None:
             pytest.skip("numpy's BLAS has no OpenBLAS thread-count symbol")
         get, put = threads
@@ -716,7 +718,7 @@ class TestBlasThreads:
     def test_concurrent_runs_restore_the_callers_count(self):
         # each run saves and restores the process's one count; interleaved
         # they must still leave the caller's, not an inner run's 1
-        threads = mixture._openblas_threads()
+        threads = cores.openblas_threads()
         if threads is None:
             pytest.skip("numpy's BLAS has no OpenBLAS thread-count symbol")
         get, put = threads
@@ -735,8 +737,22 @@ class TestBlasThreads:
             sys.setswitchinterval(interval)
             put(saved)
 
+    def test_concurrent_pools_restore_the_callers_variables(self, monkeypatch):
+        # the second pool starts while the first runs and outlasts it, so
+        # the variables it finds set are the first pool's, not the caller's
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        with ThreadPoolExecutor(2) as callers:
+            first = callers.submit(cores.process_map, abs, [-1, -2], 2)
+            time.sleep(0.05)
+            second = callers.submit(cores.process_map, abs, [-1, -2, -3, -4], 2)
+            assert first.result(timeout=120) == [1, 2]
+            assert second.result(timeout=120) == [1, 2, 3, 4]
+        assert {var: os.environ.get(var) for var in BLAS_THREAD_VARS} == \
+            dict.fromkeys(BLAS_THREAD_VARS)
+
     def test_missing_symbol_is_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(mixture, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(cores, "openblas_threads", lambda: None)
         manifest = self.analyze(tmp_path)
         assert manifest["blas"]["threads"].startswith("not pinned")
 
@@ -851,3 +867,106 @@ class TestSettingsTable:
     def test_datagen_does_not_import_mixture(self):
         source = (SRC / "protostream" / "datagen.py").read_text()
         assert "mixture" not in package_imports(source)
+
+
+def environ_writes(source: str) -> int:
+    """Writes to ``os.environ`` in ``source``: item stores and deletions,
+    calls of its mutating methods, and ``os.putenv``/``os.unsetenv``."""
+    found = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            found += ast.unparse(node.value) == "os.environ"
+        elif isinstance(node, ast.Attribute):
+            found += (ast.unparse(node) in ("os.putenv", "os.unsetenv")
+                      or node.attr in ("update", "pop", "setdefault", "clear", "popitem")
+                      and ast.unparse(node.value) == "os.environ")
+    return found
+
+
+class TestCoresModule:
+    """The package's threads, processes and BLAS pin live in one leaf module."""
+
+    @pytest.mark.parametrize("source, writes", [
+        ("os.environ['A'] = '1'", 1),
+        ("del os.environ['A']", 1),
+        ("os.environ.update(A='1')", 1),
+        ("os.environ.pop('A', None)", 1),
+        ("os.putenv('A', '1')", 1),
+        ("os.environ.get('A')", 0),
+        ("a = os.environ['A']", 0),
+    ])
+    def test_guard_finds_environ_writes(self, source, writes):
+        assert environ_writes(source) == writes
+
+    def test_cores_imports_nothing_from_the_package(self):
+        source = (SRC / "protostream" / "cores.py").read_text()
+        assert package_imports(source) == set()
+
+    def test_encoder_imports_only_cores(self):
+        source = (SRC / "protostream" / "encoder.py").read_text()
+        assert package_imports(source) == {"cores"}
+
+    def test_only_cores_makes_pools_loads_libraries_or_sets_the_environment(self):
+        found = set()
+        for path in sorted((SRC / "protostream").glob("*.py")):
+            source = path.read_text()
+            if (any(word in source for word in
+                    ("ThreadPoolExecutor(", "ProcessPoolExecutor(", "ctypes"))
+                    or environ_writes(source)):
+                found.add(path.name)
+        assert found == {"cores.py"}
+
+    def test_mixture_imports_no_thread_process_or_os_module(self):
+        source = (SRC / "protostream" / "mixture.py").read_text()
+        assert imported_modules(source) & {"ctypes", "threading", "os",
+                                           "concurrent"} == set()
+
+    def test_no_module_reaches_a_private_name_of_cores(self):
+        found = set()
+        for path in sorted((SRC / "protostream").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.ImportFrom) and node.module
+                        and node.module.split(".")[-1] == "cores"):
+                    found.update(f"{path.name}: {alias.name}" for alias in node.names
+                                 if alias.name.startswith("_"))
+                elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                      and ast.unparse(node.value) == "cores"):
+                    found.add(f"{path.name}: {node.attr}")
+        assert found == set()
+
+    def test_old_names_are_gone(self):
+        assert [name for name in ("_fork_join", "_helper_pool", "_in_halves",
+                                  "_one_blas_thread", "_openblas_threads")
+                if hasattr(mixture, name)] == []
+        assert [name for name in ("_simulate_pool", "BLAS_THREAD_VARS")
+                if hasattr(cli, name)] == []
+
+    def test_import_starts_no_thread(self):
+        code = "import threading, protostream, protostream.cli; print(threading.active_count())"
+        done = subprocess.run([sys.executable, "-c", code], env=python_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1"]
+
+    def test_reimports_leave_at_most_one_helper(self):
+        # perfbench re-imports the package before each set-up; each import's
+        # first fork-join makes a helper, and a dropped module's is collected
+        code = """
+import gc, importlib, sys, threading, time
+helpers = lambda: sum(t.name.startswith("cores") for t in threading.enumerate())
+for _ in range(12):
+    for name in [n for n in sys.modules if n.split(".")[0] == "protostream"]:
+        del sys.modules[name]
+    importlib.import_module("protostream.cli")
+    sys.modules["protostream.cores"].fork_join(lambda: None, lambda: None)
+gc.collect()
+deadline = time.monotonic() + 5
+while helpers() > 1 and time.monotonic() < deadline:
+    time.sleep(0.05)
+print(helpers(), threading.active_count())
+"""
+        done = subprocess.run([sys.executable, "-c", code], env=python_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        helpers, threads = map(int, done.stdout.split())
+        assert helpers <= 1 and threads == helpers + 1

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from protostream import encoder, mixture, simulate
+from protostream import cores, encoder, mixture, simulate
 from protostream.mixture import GmmConfig, gmm_update, init_mixture, split_resurrect
 
 
@@ -175,9 +175,9 @@ class TestEncoder:
         x = np.random.default_rng(n).standard_normal((n, 32))
         outputs = []
         for split_min, calls in ((0, 1), (2**62, 0)):
-            monkeypatch.setattr(mixture, "_SPLIT_MIN", split_min)
-            counter = CountingForkJoin(mixture._fork_join)
-            monkeypatch.setattr(mixture, "_fork_join", counter)
+            monkeypatch.setattr(cores, "_SPLIT_MIN", split_min)
+            counter = CountingForkJoin(cores.fork_join)
+            monkeypatch.setattr(cores, "fork_join", counter)
             h, cache = encoder.forward(params, x)
             assert counter.calls == calls
             monkeypatch.undo()
@@ -198,8 +198,8 @@ class TestEncoder:
     def test_size_rule_counts_the_smallest_product(self, monkeypatch, n, d_in,
                                                     splits):
         params = self.params(d_in=d_in)
-        counter = CountingForkJoin(mixture._fork_join)
-        monkeypatch.setattr(mixture, "_fork_join", counter)
+        counter = CountingForkJoin(cores.fork_join)
+        monkeypatch.setattr(cores, "fork_join", counter)
         encoder.forward(params, np.ones((n, d_in)))
         assert counter.calls == splits
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from protostream import mixture
+from protostream import cores, mixture
 from protostream.mixture import (
     DegenerateComponentError,
     GmmConfig,
@@ -517,7 +517,7 @@ class TestFusedUpdate:
 
 
 class TestForkJoin:
-    """``_fork_join(there, here)``: ``there`` on the helper thread, ``here``
+    """``fork_join(there, here)``: ``there`` on the helper thread, ``here``
     on the caller's, both always waited for."""
 
     def test_results_in_order_and_threads(self):
@@ -527,9 +527,9 @@ class TestForkJoin:
         def here():
             return "here", threading.current_thread().name
 
-        (a, there_thread), (b, here_thread) = mixture._fork_join(there, here)
+        (a, there_thread), (b, here_thread) = cores.fork_join(there, here)
         assert (a, b) == ("there", "here")
-        assert there_thread.startswith("mixture")
+        assert there_thread.startswith("cores")
         assert here_thread == threading.current_thread().name
 
     @pytest.mark.parametrize("there_raises", [False, True])
@@ -547,8 +547,8 @@ class TestForkJoin:
 
         with pytest.raises(ValueError, match="here"):
             try:
-                mixture._fork_join(there, here)
-            finally:  # as the error leaves _fork_join
+                cores.fork_join(there, here)
+            finally:  # as the error leaves fork_join
                 done = list(finished)
         assert done == [True]
 
@@ -563,7 +563,7 @@ class TestForkJoin:
             returned.append(True)
 
         with pytest.raises(KeyError, match="there"):
-            mixture._fork_join(there, here)
+            cores.fork_join(there, here)
         assert returned == [True]
 
     def test_nested_in_here_completes_while_helper_is_busy(self):
@@ -576,9 +576,9 @@ class TestForkJoin:
             return "inner here"
 
         def outer():
-            return mixture._fork_join(
+            return cores.fork_join(
                 lambda: busy.wait(30) and "outer there",
-                lambda: mixture._fork_join(lambda: "inner there", inner_here))
+                lambda: cores.fork_join(lambda: "inner there", inner_here))
 
         out = []
         caller = threading.Thread(target=lambda: out.append(outer()), daemon=True)
@@ -588,7 +588,7 @@ class TestForkJoin:
 
 
 class CountingHelper:
-    """Stands in for the mixture's helper pool and counts its submissions."""
+    """Stands in for the package's helper pool and counts its submissions."""
 
     def __init__(self, pool):
         self.pool, self.submitted = pool, 0
@@ -604,9 +604,9 @@ class TestTwoThreadSplit:
 
     @staticmethod
     def helper(monkeypatch, split_min):
-        monkeypatch.setattr(mixture, "_SPLIT_MIN", split_min)
-        helper = CountingHelper(mixture._helper_pool())
-        monkeypatch.setattr(mixture, "_helper_pool", lambda: helper)
+        monkeypatch.setattr(cores, "_SPLIT_MIN", split_min)
+        helper = CountingHelper(cores._helper_pool())
+        monkeypatch.setattr(cores, "_helper_pool", lambda: helper)
         return helper
 
     @staticmethod
@@ -651,7 +651,7 @@ class TestTwoThreadSplit:
         # N*K = 2**17 with D=8 half the statistic product would not, and
         # OpenBLAS may then take a small-matrix kernel with other rounding
         state, batch, config = self.fixture(512, 1024, 8)
-        helper = self.helper(monkeypatch, mixture._SPLIT_MIN)
+        helper = self.helper(monkeypatch, cores._SPLIT_MIN)
         split = self.outputs(state, batch, config)
         # update 2, record 1, e_step 1, log_likelihood 2, batch_suffstats 1
         assert helper.submitted == 7
@@ -660,7 +660,7 @@ class TestTwoThreadSplit:
         for a, b in zip(split, whole):
             assert a.tobytes() == b.tobytes()
         state, batch, config = self.fixture(512, 256, 8)
-        helper = self.helper(monkeypatch, mixture._SPLIT_MIN)
+        helper = self.helper(monkeypatch, cores._SPLIT_MIN)
         self.outputs(state, batch, config)
         assert helper.submitted == 0
 
@@ -687,7 +687,7 @@ class TestTwoThreadSplit:
     def test_concurrent_callers_share_the_helper(self, monkeypatch):
         # more callers than cores queue their first halves on the one helper
         state, batch, config = self.fixture(97, 13, 5)
-        monkeypatch.setattr(mixture, "_SPLIT_MIN", 0)
+        monkeypatch.setattr(cores, "_SPLIT_MIN", 0)
         want = self.outputs(state, batch, config)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -705,7 +705,7 @@ class TestTwoThreadSplit:
     def test_forked_child_starts_its_own_helper(self, monkeypatch):
         # the child inherits the pool object but not its thread
         state, batch, _ = self.fixture(97, 13, 5)
-        monkeypatch.setattr(mixture, "_SPLIT_MIN", 0)
+        monkeypatch.setattr(cores, "_SPLIT_MIN", 0)
         e_step(state, batch, 1.0)
         child = multiprocessing.get_context("fork").Process(
             target=e_step, args=(state, batch, 1.0))

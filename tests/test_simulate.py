@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-import protostream.mixture as mixture
+import protostream.cores as cores
 import protostream.simulate as simulate
 from protostream.checkpoint import save_checkpoint
+from protostream.cores import _helper_pool
 from protostream.datagen import (DataSpec, class_sizes, make_dataset, make_views,
                                  shuffled_batches)
 from protostream.encoder import forward, init_encoder
-from protostream.mixture import (GmmConfig, _helper_pool, gmm_update, init_mixture,
+from protostream.mixture import (GmmConfig, gmm_update, init_mixture,
                                  m_step, spread_unit_vectors)
 from protostream.settings import ConfigError, config_to_mapping
 from protostream.simulate import (
@@ -429,7 +430,7 @@ class TestRunExperiment:
 
 
 class SlowHelper:
-    """Stands in for the mixture's helper pool: keeps every future and delays
+    """Stands in for the package's helper pool: keeps every future and delays
     each task, so that a task left pending would still be running."""
 
     def __init__(self):
@@ -474,7 +475,7 @@ def sequential_run(config, snapshot_dir):
 
 class TestHelperThread:
     """The views of the next batch and the prototype spread run on the
-    mixture's helper thread; the results are the bits of the sequential run."""
+    package's helper thread; the results are the bits of the sequential run."""
 
     # 128 training rows in batches of 30 leave a short last batch; in one
     # batch of 200, each epoch is one step whose helper draw finds no batch
@@ -501,7 +502,7 @@ class TestHelperThread:
     @pytest.mark.parametrize("regime", ["joint", "decoupled"])
     def test_failing_step_raises_after_its_prefetch(self, monkeypatch, regime):
         helper = SlowHelper()
-        monkeypatch.setattr(mixture, "_helper_pool", lambda: helper)
+        monkeypatch.setattr(cores, "_helper_pool", lambda: helper)
         norms = []
 
         def norm_then_nan(grads):
