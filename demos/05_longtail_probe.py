@@ -10,8 +10,8 @@ prototypes have visibly collapsed, because the tiny encoder saturates the
 synthetic task long before target degradation can hurt it.  The collapse
 itself (demo 03) reproduces reliably; the tail-accuracy ranking does not.
 Over seeds 0-19 of this configuration, decoupled wins overall and head
-accuracy on all 20 seeds, reaches joint's tail accuracy on 9 and its medium
-accuracy on 1 (mean tail 0.247 against 0.264, medium 0.293 against 0.362).
+accuracy on all 20 seeds, reaches joint's tail accuracy on 11 and its medium
+accuracy on 2 (mean tail 0.250 against 0.271, medium 0.297 against 0.354).
 Acceptance criterion 9 therefore asserts the overall direction only.
 """
 

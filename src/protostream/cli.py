@@ -48,7 +48,7 @@ def _blas_info() -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         vendor = f"{blas['name']} {blas['version']}"
-    except (TypeError, KeyError):  # numpy before 1.26
+    except KeyError:  # a build that records no BLAS
         vendor = "unknown"
     threads = cores.openblas_threads()
     return {"vendor": vendor,

@@ -151,35 +151,25 @@ def loss_and_grads(state: SimState, views: np.ndarray, teacher_probs):
     Returns (loss, d_w1, d_w2, d_protos); d_protos is None outside the joint
     regime.  ``teacher_probs[j]`` is the teacher's (B, K) assignment of view
     ``j``, a constant target: no gradient flows through it.  The loss
-    averages over all ordered (teacher view, student view) pairs with
-    distinct views.
+    averages over all ordered pairs of distinct views.  The cross-entropy is
+    linear in its target, so that is one student pass over the stacked views
+    against each view's mean of the other views' targets, with the same
+    gradient.  The mean is their plain sum over J - 1: with two views, the
+    other view's targets bit for bit.
     """
     cfg = state.config
     protos = state.prototypes
     n_views = views.shape[0]
-    d_w1 = np.zeros_like(state.student.w1)
-    d_w2 = np.zeros_like(state.student.w2)
-    d_protos = np.zeros_like(protos) if cfg.regime == "joint" else None
-    n_pairs = n_views * (n_views - 1)
-    total_loss = 0.0
-    for js in range(n_views):
-        h_s, cache = forward(state.student, views[js])
-        s_probs = assign(h_s, protos, cfg.tau_student)
-        d_h = np.zeros_like(h_s)
-        for jt in range(n_views):
-            if jt == js:
-                continue
-            loss, d_logits = consistency_loss(s_probs, teacher_probs[jt],
-                                              cfg.tau_student)
-            total_loss += loss / n_pairs
-            d_logits /= n_pairs
-            d_h += d_logits @ protos
-            if d_protos is not None:
-                d_protos += d_logits.T @ h_s
-        g1, g2 = backward(state.student, cache, d_h)
-        d_w1 += g1
-        d_w2 += g2
-    return total_loss, d_w1, d_w2, d_protos
+    teacher_probs = np.asarray(teacher_probs, dtype=np.float64)
+    targets = np.concatenate([np.delete(teacher_probs, j, axis=0).sum(axis=0)
+                              for j in range(n_views)])
+    targets /= n_views - 1
+    h_s, cache = forward(state.student, views.reshape(-1, views.shape[2]))
+    s_probs = assign(h_s, protos, cfg.tau_student)
+    loss, d_logits = consistency_loss(s_probs, targets, cfg.tau_student)
+    d_w1, d_w2 = backward(state.student, cache, d_logits @ protos)
+    d_protos = d_logits.T @ h_s if cfg.regime == "joint" else None
+    return loss, d_w1, d_w2, d_protos
 
 
 def student_step(state: SimState, views: np.ndarray,
@@ -201,12 +191,12 @@ def student_step(state: SimState, views: np.ndarray,
     teacher_probs = assign(h_teacher, state.prototypes, cfg.tau_teacher)
     total_loss, d_w1, d_w2, d_protos = loss_and_grads(
         state, views, teacher_probs.reshape(*views.shape[:2], -1))
-    if cfg.learning_rate == 0.0:
-        return replace(state, step=state.step + 1), total_loss
     grads = [d_w1, d_w2] + ([d_protos] if d_protos is not None else [])
     norm = _global_norm(grads)
     if not math.isfinite(norm):
         raise ValueError(f"step {state.step}: gradient norm is {norm}")
+    if cfg.learning_rate == 0.0:
+        return replace(state, step=state.step + 1), total_loss
     if norm > cfg.grad_clip:
         scale = cfg.grad_clip / norm
         for g in grads:

@@ -6,7 +6,8 @@ between an oracle and the library is meaningful evidence of correctness.
 The one exception, ``random_mixture``, is a fixture rather than an oracle: it
 draws random parameters and hands them to the package's state constructor.
 The ``reference_*`` functions are vectorized on purpose: they are the
-package's earlier formulas, whose exact bits its in-place arithmetic keeps.
+package's earlier formulas, whose exact bits its in-place arithmetic keeps;
+``reference_loss_and_grads``, the view-pair loop, it keeps to rounding.
 Sizes are expected to stay small (K, D <= 16, N <= 512); the greedy
 partition also runs on a few hundred rows of low dimension.
 """
@@ -157,6 +158,37 @@ def reference_consistency_loss(student_probs, teacher_probs, tau_student):
     logs = np.log(np.maximum(s, 1e-300))
     loss = float(np.mean(-np.sum(np.where(t > 0.0, t * logs, 0.0), axis=1)))
     return loss, (s - t) / (tau_student * s.shape[0])
+
+
+def reference_loss_and_grads(state, views, teacher_probs):
+    """``simulate.loss_and_grads`` as the loop over ordered view pairs that
+    defines it: one student forward and backward per view, one loss per pair."""
+    cfg = state.config
+    protos = state.prototypes
+    n_views = views.shape[0]
+    d_w1 = np.zeros_like(state.student.w1)
+    d_w2 = np.zeros_like(state.student.w2)
+    d_protos = np.zeros_like(protos) if cfg.regime == "joint" else None
+    n_pairs = n_views * (n_views - 1)
+    total_loss = 0.0
+    for js in range(n_views):
+        h_s, cache = reference_forward(state.student.w1, state.student.w2, views[js])
+        s_probs = reference_assign(h_s, protos, cfg.tau_student)
+        d_h = np.zeros_like(h_s)
+        for jt in range(n_views):
+            if jt == js:
+                continue
+            loss, d_logits = reference_consistency_loss(s_probs, teacher_probs[jt],
+                                                        cfg.tau_student)
+            total_loss += loss / n_pairs
+            d_logits /= n_pairs
+            d_h += d_logits @ protos
+            if d_protos is not None:
+                d_protos += d_logits.T @ h_s
+        g1, g2 = reference_backward(state.student.w2, cache, d_h)
+        d_w1 += g1
+        d_w2 += g2
+    return total_loss, d_w1, d_w2, d_protos
 
 
 def reference_softmax_rows(scores):

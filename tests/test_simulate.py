@@ -181,6 +181,26 @@ class TestStudentStep:
         rel = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel < 1e-6
 
+    @pytest.mark.parametrize("regime", ["joint", "decoupled"])
+    @pytest.mark.parametrize("n_views", [2, 3, 4])
+    def test_matches_the_view_pair_loop(self, regime, n_views):
+        # one cross-entropy against the mean of the other views' targets is
+        # the average over ordered view pairs, in the loss and every gradient
+        state, dataset = build_state(tiny_config(regime=regime))
+        views = make_views(dataset.x_train[:8], n_views, 0.1, 0.1,
+                           np.random.default_rng(n_views))
+        targets = [assign(forward(state.teacher, view)[0], state.prototypes,
+                          state.config.tau_teacher) for view in views]
+        got = simulate.loss_and_grads(state, views, targets)
+        want = oracles.reference_loss_and_grads(state, views, targets)
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+        for g, w in zip(got[1:3], want[1:3]):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+        if regime == "joint":
+            np.testing.assert_allclose(got[3], want[3], rtol=1e-12, atol=0.0)
+        else:
+            assert got[3] is None and want[3] is None
+
     def test_gradient_clip_engages(self):
         cfg = tiny_config(regime="joint", grad_clip=1e-9, learning_rate=1.0)
         state, dataset = build_state(cfg)
@@ -192,19 +212,23 @@ class TestStudentStep:
 
     @pytest.mark.parametrize("regime", ["joint", "decoupled"])
     def test_non_finite_gradient_norm_names_step(self, regime):
-        # a NaN input makes every gradient NaN; clipping would scale by NaN
-        state, dataset = build_state(tiny_config(regime=regime))
-        state.step = 5
-        views = make_views(dataset.x_train[:8], 2, 0.1, 0.0,
-                           np.random.default_rng(3))
-        views[0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="step 5: gradient norm is nan"):
-            student_step(state, views, teacher_latents(state, views))
+        # a NaN input makes every gradient NaN; clipping would scale by NaN,
+        # and a frozen encoder (lr 0) would return a NaN loss unannounced
+        for learning_rate in (0.5, 0.0):
+            state, dataset = build_state(tiny_config(regime=regime,
+                                                     learning_rate=learning_rate))
+            state.step = 5
+            views = make_views(dataset.x_train[:8], 2, 0.1, 0.0,
+                               np.random.default_rng(3))
+            views[0, 0, 0] = np.nan
+            with pytest.raises(ValueError, match="step 5: gradient norm is nan"):
+                student_step(state, views, teacher_latents(state, views))
 
     @pytest.mark.parametrize("regime", ["joint", "decoupled"])
     def test_forwards_only_the_student(self, regime, monkeypatch):
         # the teacher's latents come in from the caller's one stacked pass,
-        # so a step forwards the student once per view and never the teacher
+        # so a step forwards the student once over the stacked views and
+        # never the teacher
         import protostream.simulate as simulate
 
         state, dataset = build_state(tiny_config(regime=regime))
@@ -219,7 +243,7 @@ class TestStudentStep:
 
         monkeypatch.setattr(simulate, "forward", counting_forward)
         student_step(state, views, h_teacher)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert all(params is state.student for params in calls)
 
 
