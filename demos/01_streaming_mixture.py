@@ -7,7 +7,7 @@ the other demos or the CLI.
 
 import numpy as np
 
-from protostream import GmmConfig, gmm_update, init_mixture, log_likelihood
+from protostream.mixture import GmmConfig, gmm_update, init_mixture, log_likelihood
 from protostream.checkpoint import save_checkpoint
 
 OUT = "demo_out"

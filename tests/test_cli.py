@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import protostream
 from protostream.checkpoint import (
     load_checkpoint, read_matrix_csv, save_checkpoint, write_csv, write_matrix_csv,
 )
@@ -970,3 +971,64 @@ print(helpers(), threading.active_count())
         assert done.returncode == 0, done.stderr
         helpers, threads = map(int, done.stdout.split())
         assert helpers <= 1 and threads == helpers + 1
+
+
+PACKAGE_MODULES = sorted(p.stem for p in (SRC / "protostream").glob("*.py")
+                         if not p.stem.startswith("__"))
+
+
+def import_closure(module: str) -> set:
+    """``module`` and every package module that its imports reach, read from the source."""
+    closure, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in closure:
+            closure.add(name)
+            source = (SRC / "protostream" / f"{name}.py").read_text()
+            todo.extend(package_imports(source) & set(PACKAGE_MODULES))
+    return closure
+
+
+@pytest.fixture(scope="module")
+def loaded_by_import():
+    """The package modules that importing each module loads, measured in one
+    fresh interpreter; the key ``""`` holds those of ``import protostream``."""
+    code = """
+import importlib, json, sys
+loaded = {}
+for module in [""] + sys.argv[1:]:
+    for name in [n for n in sys.modules if n.split(".")[0] == "protostream"]:
+        del sys.modules[name]
+    importlib.import_module("protostream." + module if module else "protostream")
+    loaded[module] = [n.split(".", 1)[1] for n in sys.modules if n.startswith("protostream.")]
+print(json.dumps(loaded))
+"""
+    done = subprocess.run([sys.executable, "-c", code, *PACKAGE_MODULES], env=python_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return {module: set(names) for module, names in json.loads(done.stdout).items()}
+
+
+class TestPackage:
+    """The package namespace holds only ``__version__``: a name is imported from
+    the module that defines it, and importing a module loads only its imports."""
+
+    def test_closure_follows_relative_imports(self):
+        assert import_closure("cores") == {"cores"}
+        assert import_closure("datagen") == {"datagen", "settings"}
+        assert import_closure("cli") == set(PACKAGE_MODULES)
+
+    @pytest.mark.parametrize("module", PACKAGE_MODULES)
+    def test_import_loads_only_what_the_module_imports(self, loaded_by_import, module):
+        assert loaded_by_import[module] == import_closure(module)
+
+    def test_package_import_loads_no_module(self, loaded_by_import):
+        assert loaded_by_import[""] == set()
+
+    @pytest.mark.filterwarnings(r"ignore:Support for `\[tool\.setuptools\]`")
+    def test_project_version_is_the_package_version(self):
+        # setuptools reads the attribute from the source, without importing numpy
+        pytest.importorskip("setuptools")
+        from setuptools.config.pyprojecttoml import read_configuration
+        config = read_configuration(SRC.parent / "pyproject.toml")
+        assert config["project"]["version"] == protostream.__version__
