@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import cores
 from .checkpoint import write_csv
 from .collapse import normalize_rows
 
@@ -202,16 +203,22 @@ def vmf_kde_angles(points2d: np.ndarray, kappa: float,
     cos_a, sin_a = np.cos(angles), np.sin(angles)
     cos_g, sin_g = np.cos(grid), np.sin(grid)
     density = np.empty(n_samples)
-    for start in range(0, n_samples, _VMF_GRID_BLOCK):
-        # each grid point is still one row reduction over all points, and
-        # elementwise: a GEMM would round differently for small blocks
-        stop = start + _VMF_GRID_BLOCK
-        terms = np.multiply.outer(cos_g[start:stop], cos_a)
-        terms += np.multiply.outer(sin_g[start:stop], sin_a)
-        terms -= 1.0
-        terms *= kappa
-        np.exp(terms, out=terms)
-        density[start:stop] = terms.sum(axis=1)
+
+    def grid_blocks(lo: int, hi: int) -> None:
+        for start in range(lo, hi, _VMF_GRID_BLOCK):
+            # each grid point is still one row reduction over all points, and
+            # elementwise: a GEMM would round differently for small blocks
+            stop = min(start + _VMF_GRID_BLOCK, hi)
+            terms = np.multiply.outer(cos_g[start:stop], cos_a)
+            terms += np.multiply.outer(sin_g[start:stop], sin_a)
+            terms -= 1.0
+            terms *= kappa
+            np.exp(terms, out=terms)
+            density[start:stop] = terms.sum(axis=1)
+
+    # no grid point's bits depend on the half that computes it; the work is
+    # one kernel term per grid point and point
+    cores.in_halves(grid_blocks, n_samples, n_samples * pts.shape[0])
     density /= pts.shape[0] * norm
     return KdeGrid(x=grid, y=None, density=density, bandwidth=(0.0, 0.0),
                    kappa=kappa, skipped_points=skipped)
@@ -227,11 +234,13 @@ def export_prototype_kde(rows: np.ndarray, out_prefix: str | Path,
     gauss_path = Path(prefix + "_gaussian_kde.csv")
     vmf_path = Path(prefix + "_vmf_kde.csv")
     bw_x, bw_y = planar.bandwidth
+    # Python floats: write_csv formats them as their np.float64 values, faster
+    xs, density = planar.x.tolist(), planar.density.tolist()
     write_csv(gauss_path, ("x_grid", "y_grid", "prob"),
-              ((x, y, planar.density[yi, xi]) for yi, y in enumerate(planar.y)
-               for xi, x in enumerate(planar.x)),
+              ((x, y, density[yi][xi]) for yi, y in enumerate(planar.y.tolist())
+               for xi, x in enumerate(xs)),
               comment=f"bandwidth_x={bw_x:.17g} bandwidth_y={bw_y:.17g}")
-    write_csv(vmf_path, ("x", "prob"), zip(angular.x, angular.density),
+    write_csv(vmf_path, ("x", "prob"), zip(angular.x.tolist(), angular.density.tolist()),
               comment=f"kappa={angular.kappa:.17g} skipped={angular.skipped_points}")
     return {
         "gaussian_csv": gauss_path,

@@ -7,7 +7,10 @@ file), ``export-kde`` (PCA + planar and angular density CSVs), and
 
 Every command accepts ``--seed`` and is bitwise reproducible under it: it
 runs under ``cores.one_blas_thread``, and the manifest records the BLAS and
-its threads.  ``analyze`` computes the angles on the helper thread.
+its threads.  ``analyze`` runs the epsilon sweep on the calling thread
+while the helper takes angle tasks from the front, and the calling thread
+then takes the rest from the back (``cores.from_both_ends``); ``export-kde``
+evaluates its angular density in two halves (``cores.in_halves``).
 ``-v/--log-level`` (before the subcommand) sets which log messages reach
 stderr; ``-v info`` shows the mixture's split events.  Exit codes: 0 success,
 2 user error, 3 I/O failure, 4 degenerate data, 1 and a traceback otherwise.
@@ -30,7 +33,7 @@ import numpy as np
 from . import __version__, cores
 from .analysis import DegenerateRankError, export_prototype_kde
 from .checkpoint import atomic_open, load_matrix, save_checkpoint, write_csv
-from .collapse import DEFAULT_EPSILON_GRID, angular_stats, epsilon_sweep, normalize_rows
+from .collapse import DEFAULT_EPSILON_GRID, angle_tasks, epsilon_sweep, normalize_rows
 from .datagen import run_horizon, shuffled_batches
 from .mixture import DegenerateComponentError, GmmConfig, gmm_update, init_mixture
 from .settings import ConfigError, config_to_mapping, with_settings
@@ -157,11 +160,11 @@ def cmd_analyze(args, info: dict) -> list:
     info["protos_path"] = str(args.protos)
     epsilons = _parse_epsilons(args.epsilons)
     protos = normalize_rows(load_matrix(args.protos))
-    # both only read the rows and numpy releases the GIL in their GEMMs
-    # and ufuncs, so the angles run on the helper thread
-    stats, reports = cores.fork_join(
-        lambda: angular_stats(protos) if protos.k >= 2 else None,
-        lambda: epsilon_sweep(protos, epsilons))
+    # both only read the rows, and numpy releases the GIL in their GEMMs and
+    # ufuncs, so the sweep and the angle tasks share the two cores
+    tasks, merge_angles = angle_tasks(protos) if protos.k >= 2 else ([], None)
+    parts, reports = cores.from_both_ends(tasks, lambda: epsilon_sweep(protos, epsilons))
+    stats = merge_angles(parts) if merge_angles else None
     out_csv = Path(args.out)
     write_csv(out_csv, ("epsilon", "unique_count", "unique_fraction"),
               ((r.epsilon, r.unique_count, r.unique_fraction) for r in reports))
@@ -258,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--out", required=True, help="output CSV path")
     p_an.add_argument("--epsilons",
                       default=",".join(str(e) for e in DEFAULT_EPSILON_GRID),
-                      help="comma-separated ascending epsilon grid")
+                      help="comma-separated, strictly ascending epsilon grid")
     p_an.set_defaults(func=cmd_analyze,
                       manifest=lambda a: Path(f"{Path(a.out)}.manifest.json"))
 

@@ -11,6 +11,14 @@ spawned worker processes.  Imports nothing from the package.
   child inherits the pool but not its thread, so each process makes its
   helper on first use; an ``os.register_at_fork`` hook would keep this
   module, its pool and its thread alive past a re-import.
+- ``from_both_ends(tasks, first)`` spreads a list of tasks over both
+  threads: the helper takes them from the front while the calling thread
+  runs ``first``, and then the calling thread takes them from the back
+  until the ends meet.  Its tasks run on either thread, so a task never
+  calls ``fork_join``; ``first`` may, and its ``there`` then waits for the
+  helper to run out of tasks.  The results come back in task order, so a
+  caller that merges them in that order gets bits that do not depend on
+  which thread ran which task.
 - ``in_halves`` splits a task in two once its work, the multiply-adds of
   its smallest product over all rows, reaches ``_SPLIT_MIN`` (2**22).  Each
   half then holds at least 4/15 of it, over 10**6 multiply-adds: below
@@ -74,6 +82,50 @@ def fork_join(there, here):
         pending.exception()  # waits, and leaves here's error to propagate
         raise
     return pending.result(), result
+
+
+def from_both_ends(tasks: list, first):
+    """Run ``tasks`` on both threads and ``first()`` on this one, and return
+    ``(results, first())`` with the results in task order.
+
+    The helper takes tasks from the front; this thread runs ``first`` and
+    then takes tasks from the back, until the two ends meet.  Each task runs
+    once.  After an error on either thread no further task starts, and the
+    error is raised as ``fork_join`` raises it.
+    """
+    results = [None] * len(tasks)
+    ends = [0, len(tasks)]  # the next task from the front; one past the next from the back
+    lock = threading.Lock()
+
+    def take(front: bool):
+        with lock:
+            if ends[0] == ends[1]:
+                return None
+            if front:
+                ends[0] += 1
+                return ends[0] - 1
+            ends[1] -= 1
+            return ends[1]
+
+    def run(front: bool) -> None:
+        while (i := take(front)) is not None:
+            results[i] = tasks[i]()
+
+    def here():
+        value = first()
+        run(False)
+        return value
+
+    def stopping(body, *args):
+        try:
+            return body(*args)
+        except BaseException:
+            with lock:  # the other thread takes no further task
+                ends[1] = ends[0]
+            raise
+
+    _, value = fork_join(lambda: stopping(run, True), lambda: stopping(here))
+    return results, value
 
 
 def in_halves(task, size: int, work: int) -> None:

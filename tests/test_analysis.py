@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import i0, i0e
 
-from protostream import analysis
+from protostream import analysis, cores
 from protostream.analysis import (
     DegenerateRankError,
     export_prototype_kde,
@@ -208,6 +208,25 @@ class TestVmfKdeAngles:
         want = np.exp(7.5 * (cos_diff - 1.0)).sum(axis=1)
         want /= 300 * (2.0 * np.pi * float(i0e(7.5)))
         assert np.array_equal(kde.density, want)
+
+    # 1024 grid points cut at a block edge, 1000 inside a block; 7 has no cut
+    @pytest.mark.parametrize("n_samples, splits", [(1024, 1), (1000, 1), (7, 0)])
+    def test_halves_are_the_bits_of_one_pass(self, monkeypatch, n_samples, splits):
+        pts = np.random.default_rng(12).standard_normal((300, 2))
+        densities, real = [], cores.fork_join
+        for split_min, calls in ((0, splits), (2**62, 0)):
+            counted = []
+
+            def counting(there, here):
+                counted.append(there)
+                return real(there, here)
+
+            monkeypatch.setattr(cores, "_SPLIT_MIN", split_min)
+            monkeypatch.setattr(cores, "fork_join", counting)
+            densities.append(vmf_kde_angles(pts, kappa=7.5, n_samples=n_samples).density)
+            assert len(counted) == calls
+            monkeypatch.undo()
+        assert np.array_equal(densities[0], densities[1])
 
     @pytest.mark.parametrize("kappa", [0.5, 20.0, 700.0, 5000.0])
     def test_angle_addition_close_to_direct_cosine(self, kappa):

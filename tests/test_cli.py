@@ -1,4 +1,5 @@
 import ast
+import functools
 import io
 import json
 import logging
@@ -18,7 +19,7 @@ import protostream
 from protostream.checkpoint import (
     load_checkpoint, read_matrix_csv, save_checkpoint, write_csv, write_matrix_csv,
 )
-from protostream import cli, cores, mixture, simulate
+from protostream import cli, collapse, cores, mixture, simulate
 from protostream.cli import main
 from protostream.collapse import (
     DEFAULT_EPSILON_GRID, angular_stats, epsilon_sweep, normalize_rows,
@@ -315,18 +316,46 @@ class TestAnalyze:
         assert manifest["pairs_subsampled"] is False
 
     def test_angles_run_on_the_package_helper(self, tmp_path, monkeypatch):
-        threads = []
+        # the sweep waits for the one angle task, so the helper took it while
+        # the sweep ran on the calling thread
+        threads, done = [], threading.Event()
+        real_tasks = cli.angle_tasks
 
-        def recorded(protos):
+        def recorded_tasks(protos):
+            tasks, merge = real_tasks(protos)
+
+            def run(task):
+                threads.append(threading.current_thread().name)
+                result = task()
+                done.set()
+                return result
+            return [functools.partial(run, task) for task in tasks], merge
+
+        def recorded_sweep(protos, epsilons):
+            assert done.wait(30)
             threads.append(threading.current_thread().name)
-            return angular_stats(protos)
+            return epsilon_sweep(protos, epsilons)
 
-        monkeypatch.setattr(cli, "angular_stats", recorded)
+        monkeypatch.setattr(cli, "angle_tasks", recorded_tasks)
+        monkeypatch.setattr(cli, "epsilon_sweep", recorded_sweep)
         protos = tmp_path / "protos.csv"
         write_matrix_csv(np.eye(3), protos)
         assert main(["analyze", "--protos", str(protos),
                      "--out", str(tmp_path / "sweep.csv")]) == 0
-        assert len(threads) == 1 and threads[0].startswith("cores")
+        assert len(threads) == 2 and threads[0].startswith("cores")
+        assert threads[1] == threading.current_thread().name
+
+    def test_repeated_epsilon_exit_2(self, tmp_path, capsys):
+        protos = tmp_path / "protos.csv"
+        write_matrix_csv(np.eye(3), protos)
+        out = tmp_path / "sweep.csv"
+        assert main(["analyze", "--protos", str(protos), "--out", str(out),
+                     "--epsilons", "0.1,0.1,0.5"]) == 2
+        assert "'epsilons'" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["exit_code"] == 2
+        assert "unique_counts" not in manifest
 
     def test_one_row_writes_no_angles(self, tmp_path):
         protos = tmp_path / "protos.csv"
@@ -368,6 +397,94 @@ gmm.beta=0.5
         assert code == 0
         rows = [line.split(",") for line in sweep.read_text().splitlines()[1:]]
         assert all(float(r[2]) == 1.0 for r in rows)
+
+
+def there_first(there, here):
+    """A ``fork_join`` stand-in under which the helper's part takes every task."""
+    return there(), here()
+
+
+def here_first(there, here):
+    """One under which the caller's part takes every task."""
+    result = here()
+    return there(), result
+
+
+class TestAnalyzeSchedule:
+    """``analyze``'s angle tasks, taken from both ends, give the bits of the
+    in-order ``angular_stats``, whichever side takes which task."""
+
+    @pytest.mark.parametrize("k, cap, schedule", [
+        (2, None, "helper"), (2, None, "caller"),
+        (257, None, "helper"), (257, None, "caller"),
+        (2 * 256 + 89, None, "helper"), (2 * 256 + 89, None, "caller"),
+        (2 * 256 + 89, None, "both"),
+        (300, 100, "helper"), (300, 100, "caller"), (300, 100, "both"),
+    ])
+    def test_schedule_matches_in_order(self, tmp_path, monkeypatch, k, cap, schedule):
+        rng = np.random.default_rng(k)
+        base = rng.standard_normal((30, 6))
+        rows = base[rng.integers(0, 30, size=k)] + 0.05 * rng.standard_normal((k, 6))
+        protos = tmp_path / "protos.csv"
+        write_matrix_csv(rows, protos)
+        cap = cap or collapse.ANGLE_PAIR_K_CAP
+        monkeypatch.setattr(collapse, "_ANGLE_PAIR_BUDGET", 100_003)
+        monkeypatch.setattr(collapse, "_ANGLE_PAIR_CHUNK", 4096)
+        # in "both", the sweep waits for the helper's first task, and the
+        # helper's second waits for the caller to take one
+        ran, helper_one, caller_took = [], threading.Event(), threading.Event()
+        real_tasks = cli.angle_tasks
+
+        def gated_tasks(protos):
+            tasks, merge = real_tasks(protos, cap)
+
+            def run(i):
+                on_caller = threading.current_thread() is threading.main_thread()
+                if on_caller:
+                    caller_took.set()
+                elif helper_one.is_set():
+                    assert caller_took.wait(30)
+                ran.append((i, on_caller))
+                result = tasks[i]()
+                helper_one.set()
+                return result
+            return [functools.partial(run, i) for i in range(len(tasks))], merge
+
+        def gated_sweep(protos, epsilons):
+            if schedule == "both":
+                assert helper_one.wait(30)
+            return epsilon_sweep(protos, epsilons)
+
+        monkeypatch.setattr(cli, "angle_tasks", gated_tasks)
+        monkeypatch.setattr(cli, "epsilon_sweep", gated_sweep)
+        if schedule != "both":
+            monkeypatch.setattr(cores, "fork_join",
+                                there_first if schedule == "helper" else here_first)
+        out = tmp_path / "sweep.csv"
+        assert main(["analyze", "--protos", str(protos), "--out", str(out)]) == 0
+
+        stats = angular_stats(normalize_rows(read_matrix_csv(protos)), pair_k_cap=cap)
+        n = len(ran)
+        order = [i for i, _ in ran]
+        if schedule == "helper":
+            assert order == list(range(n))
+        elif schedule == "caller":
+            assert order == list(range(n))[::-1]
+        else:
+            helper = [i for i, on_caller in ran if not on_caller]
+            caller = [i for i, on_caller in ran if on_caller]
+            assert helper == list(range(len(helper))) and len(helper) >= 2
+            assert caller == list(range(n - 1, len(helper) - 1, -1)) and caller
+        assert stats.subsampled == (k > cap)
+        edges = stats.hist_edges_deg
+        want = tmp_path / "want.csv"
+        write_csv(want, ("angle_deg", "count"),
+                  zip(0.5 * (edges[:-1] + edges[1:]), stats.hist_counts))
+        assert (tmp_path / "sweep_angles.csv").read_bytes() == want.read_bytes()
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["min_angle_deg"] == stats.min_deg
+        assert manifest["mean_angle_deg"] == stats.mean_deg
+        assert manifest["pairs_used"] == stats.n_pairs_used
 
 
 class TestExportKde:

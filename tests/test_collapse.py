@@ -1,3 +1,6 @@
+import itertools
+import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -15,6 +18,7 @@ from protostream.collapse import (
     normalize_rows,
 )
 from protostream.collapse import StateError
+from protostream.settings import ConfigError
 
 import oracles
 
@@ -150,13 +154,24 @@ def clustered_rows(seed, k, d, n_base, noise):
     return normalize_rows(rows)
 
 
+# the smallest positive double, one below the float64 dot error of unit
+# rows, one that leaves only antipodal rows apart and one that covers every
+# row.  Below 2**-53 an exact duplicate's self-dot decides, whose last bit
+# depends on the order of its sum, which a GEMM and the oracle's loop do not
+# share: those two go only to fixtures whose dots are exact in any order
+EDGE_EPSILONS = (5e-324, 1e-16, 2.0, 10.0)
+WIDE_EPSILONS = (2.0, 10.0)
+# 64 was the block size before the float32 screen
+BLOCK_SIZES = [1, 7, 64, collapse._COUNT_BLOCK, 256]
+
+
 class TestCountUniqueBlocked:
     """The blocked scan against the scalar first-fit partition."""
 
     @settings(max_examples=25)
     @given(k=st.integers(1, 700), d=st.integers(2, 5), n_base=st.integers(1, 40),
            noise=st.sampled_from([0.0, 1e-3, 0.05, 0.3]),
-           block=st.sampled_from([1, 7, collapse._COUNT_BLOCK, 256]),
+           block=st.sampled_from(BLOCK_SIZES),
            seed=st.integers(0, 2**32 - 1))
     @example(k=700, d=3, n_base=40, noise=0.05, block=collapse._COUNT_BLOCK, seed=0)
     @example(k=700, d=3, n_base=5, noise=0.0, block=collapse._COUNT_BLOCK, seed=1)
@@ -164,7 +179,7 @@ class TestCountUniqueBlocked:
         protos = clustered_rows(seed, k, d, n_base, noise)
         rows = protos.rows.tolist()
         with mock.patch.object(collapse, "_COUNT_BLOCK", block):
-            for eps in DEFAULT_EPSILON_GRID:
+            for eps in DEFAULT_EPSILON_GRID + WIDE_EPSILONS:
                 report = count_unique(protos, eps)
                 assignment, reps = oracles.oracle_greedy_partition(rows, eps)
                 sizes = np.bincount(assignment, minlength=len(reps)).tolist()
@@ -221,9 +236,10 @@ SHAPE_EPSILONS = {
 
 
 class TestCountUniqueBlockShapes:
-    """Chains, duplicates and isolated rows at block sizes 1, 7, the default and 256."""
+    """Chains, duplicates and isolated rows at block sizes 1, 7, 64, the
+    default and 256."""
 
-    @pytest.mark.parametrize("block", [1, 7, collapse._COUNT_BLOCK, 256])
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
     @pytest.mark.parametrize("shape", sorted(BLOCK_SHAPES))
     def test_matches_oracle(self, shape, block):
         protos = normalize_rows(BLOCK_SHAPES[shape])
@@ -254,6 +270,123 @@ class TestCountUniqueBlockShapes:
         report = count_unique(protos, 0.025)
         assert report.representative_indices == [0, 1, 2, 3]
         assert report.partition_sizes == [70] * 4
+
+
+def margin_rows(eps, seed):
+    """Rows whose dots sit at epsilon's cover threshold, shuffled over
+    several blocks.
+
+    Seven anchors e_0..e_6, and three copies of each probe c*e_a + s*e_7
+    (either sign of s).  A probe's dot with its anchor is c exactly in any
+    summation order, and 1 - c lies 1e-7, one and two ulp of c either side
+    of epsilon, or on it.  Every other dot is 0, s*s', an exact product, or
+    near 1: far from the threshold for the grid epsilons.
+    """
+    c0 = 1.0 - eps
+    down = [math.nextafter(c0, -1.0), math.nextafter(math.nextafter(c0, -1.0), -1.0)]
+    up = [math.nextafter(c0, 2.0), math.nextafter(math.nextafter(c0, 2.0), 2.0)]
+    cosines = [c0 - 1e-7, c0 + 1e-7, c0, *down, *up]
+    rows = list(np.eye(8)[:7])
+    for a in range(7):
+        for c in cosines:
+            for sign in (1.0, -1.0):
+                row = np.zeros(8)
+                row[a], row[7] = c, sign * math.sqrt(1.0 - c * c)
+                rows += [row] * 3
+    return shuffled(np.array(rows), seed)
+
+
+def dyadic_rows(k, seed):
+    """k picks of the 24 unit rows of D=4 with entries 0, +-1/2 or +-1:
+    every dot, -1, -1/2, 0, 1/2 or 1, is exact in any order and precision."""
+    units = [np.eye(4)[i] * s for i in range(4) for s in (1.0, -1.0)]
+    units += [0.5 * np.array(s) for s in itertools.product((1.0, -1.0), repeat=4)]
+    rng = np.random.default_rng(seed)
+    return np.array(units)[rng.integers(0, len(units), size=k)]
+
+
+def orthogonal_pairs(seed):
+    """140 pairs on orthogonal planes of D=280, each pair 1 - cos apart by
+    one of 0.01, 0.035, 0.07, 0.16 and 0.35, rotated at random: every grid
+    epsilon is at least 1.25 times away from those and from the 1 between
+    pairs.  Returns the rows and the pair levels."""
+    rng = np.random.default_rng(seed)
+    levels = rng.choice([0.01, 0.035, 0.07, 0.16, 0.35], size=140)
+    rows = np.zeros((280, 280))
+    half = np.arccos(1.0 - levels) / 2.0
+    for p, h in enumerate(half):
+        rows[2 * p, 2 * p:2 * p + 2] = np.cos(h), np.sin(h)
+        rows[2 * p + 1, 2 * p:2 * p + 2] = np.cos(h), -np.sin(h)
+    q, r = np.linalg.qr(rng.standard_normal((280, 280)))
+    return rows @ (q * np.sign(np.diag(r))), levels
+
+
+class CountingExact:
+    """Stands in for ``collapse._exact_owners`` and counts its calls."""
+
+    def __init__(self):
+        self.exact, self.calls = collapse._exact_owners, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.exact(*args)
+
+
+class TestCountUniqueScreen:
+    """The float32 screen decides only outside its error band; a block with
+    a dot inside it is scanned in float64, so every count is the float64
+    scan's."""
+
+    @pytest.mark.parametrize("eps", [e for e in DEFAULT_EPSILON_GRID if e > 0.0])
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_threshold_rows_match_oracle_and_rescan(self, eps, block):
+        rows = margin_rows(eps, seed=int(eps * 1000))
+        assert rows.shape[0] > 2 * collapse._COUNT_BLOCK
+        protos = PrototypeMatrix(rows, normalized=True)
+        exact = CountingExact()
+        with mock.patch.multiple(collapse, _COUNT_BLOCK=block, _exact_owners=exact):
+            report = count_unique(protos, eps)
+        assignment, reps = oracles.oracle_greedy_partition(rows.tolist(), eps)
+        assert report.representative_indices == reps
+        assert report.partition_sizes == np.bincount(assignment).tolist()
+        assert exact.calls > 0
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_exact_dots_match_oracle_at_every_epsilon(self, block):
+        rows = dyadic_rows(3 * collapse._COUNT_BLOCK + 5, seed=block)
+        protos = PrototypeMatrix(rows, normalized=True)
+        with mock.patch.object(collapse, "_COUNT_BLOCK", block):
+            for eps in DEFAULT_EPSILON_GRID + EDGE_EPSILONS:
+                report = count_unique(protos, eps)
+                assignment, reps = oracles.oracle_greedy_partition(rows.tolist(), eps)
+                assert report.representative_indices == reps, eps
+                assert report.partition_sizes == \
+                    np.bincount(assignment, minlength=len(reps)).tolist()
+
+    def test_clear_margins_never_rescan(self):
+        rows, levels = orthogonal_pairs(seed=5)
+        protos = normalize_rows(shuffled(rows, 6))
+        exact = CountingExact()
+        with mock.patch.object(collapse, "_exact_owners", exact):
+            for eps in DEFAULT_EPSILON_GRID:
+                report = count_unique(protos, eps)
+                assert report.unique_count == 140 + int((levels >= eps).sum())
+        assert exact.calls == 0
+
+    @pytest.mark.parametrize("eps", DEFAULT_EPSILON_GRID[1:] + EDGE_EPSILONS
+                             + (1.0, sys.float_info.max))
+    def test_cover_threshold_is_the_least_covering_dot(self, eps):
+        t = collapse._cover_threshold(eps)
+        assert 1.0 - t < eps
+        assert not 1.0 - math.nextafter(t, -math.inf) < eps
+
+    @pytest.mark.parametrize("d, value, screened", [
+        (4, 0.5, True), (4, 0.75, False),  # squared norm 1, then above 2
+        (2**17, 2.0**-8.5, True), (2**17 + 1, 2.0**-8.5, False),  # D * 2**-24 above 2**-7
+    ])
+    def test_screen_only_inside_the_bound(self, d, value, screened):
+        rows = np.full((3, d), value)
+        assert (collapse._float32_band(rows, 0.1) is not None) == screened
 
 
 class TestEpsilonSweep:
@@ -288,6 +421,13 @@ class TestEpsilonSweep:
             epsilon_sweep(protos, [0.1, 0.05])
         with pytest.raises(ValueError):
             epsilon_sweep(protos, [])
+
+    @pytest.mark.parametrize("grid", [[0.1, 0.1, 0.5], [0.0, 0.0], []])
+    def test_repeat_or_empty_is_a_config_error(self, grid):
+        # a repeated epsilon would be counted twice under one manifest key
+        with pytest.raises(ConfigError) as err:
+            epsilon_sweep(normalize_rows(np.eye(3)), grid)
+        assert err.value.key == "epsilons"
 
     def test_nan_in_grid_rejected(self):
         # NaN compares false both ways, so the ascending check alone passes it

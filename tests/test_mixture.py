@@ -587,6 +587,90 @@ class TestForkJoin:
         assert out == [("outer there", ("inner there", "inner here"))]
 
 
+class TestFromBothEnds:
+    """``from_both_ends(tasks, first)``: the helper takes tasks from the
+    front, the caller runs ``first`` and then takes them from the back."""
+
+    @staticmethod
+    def recording(n, log):
+        def task(i):
+            log.append((i, threading.current_thread().name))
+            return i * i
+        return [lambda i=i: task(i) for i in range(n)]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_each_task_once_and_results_in_order(self, n):
+        log = []
+        results, value = cores.from_both_ends(self.recording(n, log), lambda: "first")
+        assert value == "first"
+        assert results == [i * i for i in range(n)]
+        assert sorted(i for i, _ in log) == list(range(n))
+
+    def test_helper_from_the_front_caller_from_the_back(self):
+        # the caller's first waits for the helper's first two tasks, whose
+        # third waits for the caller to take one
+        log, helper_two, caller_took = [], threading.Event(), threading.Event()
+        tasks = self.recording(6, log)
+
+        def gated(i):
+            def run():
+                if threading.current_thread() is threading.main_thread():
+                    caller_took.set()
+                elif i == 2:
+                    assert caller_took.wait(30)
+                result = tasks[i]()
+                if i == 1:
+                    helper_two.set()
+                return result
+            return run
+
+        results, _ = cores.from_both_ends([gated(i) for i in range(6)],
+                                          lambda: helper_two.wait(30))
+        assert results == [i * i for i in range(6)]
+        helper = [i for i, name in log if name.startswith("cores")]
+        caller = [i for i, name in log if name == threading.current_thread().name]
+        assert helper == sorted(helper) and helper[:3] == [0, 1, 2]
+        assert caller == sorted(caller, reverse=True) and caller[0] == 5
+        assert sorted(helper + caller) == list(range(6))
+
+    @pytest.mark.parametrize("where", ["first", "task"])
+    def test_an_error_stops_further_tasks(self, where):
+        log, started = [], threading.Event()
+
+        def task(i):
+            started.set()
+            if where == "task" and i == 0:
+                raise KeyError("task")
+            time.sleep(0.01)
+            log.append(i)
+
+        def first():
+            started.wait(30)
+            if where == "first":
+                raise ValueError("first")
+
+        with pytest.raises(KeyError if where == "task" else ValueError):
+            cores.from_both_ends([lambda i=i: task(i) for i in range(200)], first)
+        assert len(log) < 20
+
+    def test_stress_every_task_runs_once(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in range(1, 300, 37):
+                counts = [0] * n
+
+                def task(i):
+                    counts[i] += 1
+                    return i
+
+                results, _ = cores.from_both_ends([lambda i=i: task(i) for i in range(n)],
+                                                  lambda: None)
+                assert results == list(range(n)) and counts == [1] * n
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class CountingHelper:
     """Stands in for the package's helper pool and counts its submissions."""
 
