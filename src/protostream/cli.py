@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--out", required=True, help="output CSV path")
     p_an.add_argument("--epsilons",
                       default=",".join(str(e) for e in DEFAULT_EPSILON_GRID),
-                      help="comma-separated, strictly ascending epsilon grid")
+                      help="comma-separated, strictly ascending epsilon grid; each "
+                           "value 0 or at least (D + 3) * 2**-51, about 3e-14 at D=64")
     p_an.set_defaults(func=cmd_analyze,
                       manifest=lambda a: Path(f"{Path(a.out)}.manifest.json"))
 

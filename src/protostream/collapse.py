@@ -22,10 +22,9 @@ BLAS calls per block and the temporaries are O(block * K).
 
 Above one block, the GEMM against the representatives is taken in float32,
 on float32 copies of the rows and of the representative buffer.  The same
-monotony makes coverage g >= t for the one double t that
-``_cover_threshold`` finds once per call, and the float32 dots g32 decide
-only where they clear t by delta.  For rows x, y with
-S = sum |x_i y_i| and the float64 GEMM's dot g64,
+monotony makes coverage g >= t for one double t per epsilon, and the
+float32 dots g32 decide only where they clear t by delta.  For rows x, y
+with S = sum |x_i y_i| and the float64 GEMM's dot g64,
 
     |g32 - g64| <= delta = 1.02 ((D + 2) u + D v) n + D 2**-120,
 
@@ -39,14 +38,31 @@ gamma_D(u) = D u / (1 - D u) (Higham 2002, section 3.1).  With D u <= 2**-7
 the three sum to less than 1.01 ((D + 2) u + D v) S, and S <= n (1 + 2**-35)
 by Cauchy-Schwarz and the rounding of n.  The last term bounds underflow,
 even where a kernel flushes subnormals to zero.  The screen runs only where
-D u <= 2**-7 and n <= 2, so no float32 value overflows.  A float32 dot at or
-above hi >= t + delta covers and one below lo <= t - delta does not; a block
-with any dot in [lo, hi) is scanned in float64 as without the screen, so
-the counts are the float64 scan's by construction.  With 4-byte dots,
-128-row blocks keep the temporary of 64 float64 rows, the size that keeps
-the two threads' temporaries small in ``analyze`` (256-row float64 blocks
-added about 10 MB to its peak at K=4096); the counts do not depend on
-``_COUNT_BLOCK``.
+D u <= 2**-7 and n <= 2, so no float32 value overflows and every dot lies
+in [-3, 3].
+
+The band needs no t.  Its ends are c = fl(1 - epsilon) -+ w, with
+w = delta + 2**-22, each rounded to a double, clipped to [-4, 4] and cast
+to float32.  For epsilon <= 6, results below 8 in size round by at most
+2**-51, so fl(1 - g) < epsilon for every g >= c + 2**-48 and for no
+g <= c - 2**-48: |t - c| < 2**-48.  Rounding c -+ w moves it by at most
+2**-51, and a dot compares with the float32 end as with a value within
+2**-23 of that double (a clipped end lies beyond every dot); as
+2**-48 + 2**-51 + 2**-23 < 2**-22, lo <= t - delta and hi >= t + delta.
+For epsilon > 6 both ends clip to -4 and every dot covers.  A float32 dot
+at or above hi covers and one below lo does not; a block with any dot in
+[lo, hi) is scanned in float64 as without the screen, so the counts are the
+float64 scan's by construction.  128 4-byte rows per block keep the
+temporary of 64 float64 ones; the counts do not depend on ``_COUNT_BLOCK``.
+
+A positive epsilon below ``min_epsilon(D)`` = (D + 3) 2**-51 = (4D + 12) v
+is refused: there exact copies of a row merge only where their computed
+self-dot g rounds close enough to 1, which depends on the order of its sum.
+``normalize_rows`` divides by a norm within (1 + gamma_D)**(1/2) (1 + v) of
+the exact one (barring underflow) and each quotient rounds by 1 + v, so
+|x.x - 1| <= gamma_D + 4v + O(v**2), and g adds gamma_D x.x in any order.
+With D v <= 2**-10, 1 - g is exact and at most (2D + 4) v (1 + 2**-8),
+about half of min_epsilon, so from it on exact copies always merge.
 
 ``angle_tasks`` splits the pairwise angles into tasks: one per
 ``_ROW_BLOCK`` rows (the pairs inside the block, then those with every
@@ -71,8 +87,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,10 +107,8 @@ _ANGLE_PAIR_CHUNK = 1 << 15
 # at most this many angles at a time
 _ANGLE_BINS = 180
 _ANGLE_COUNT_BLOCK = 1 << 16
-# unit roundoff of float32 and float64, and the sign bit of a double
+# unit roundoff of float32 and float64
 _U32, _U64 = 2.0**-24, 2.0**-53
-_SIGN = 1 << 63
-_MAGNITUDE = _SIGN - 1
 
 
 class StateError(RuntimeError):
@@ -159,9 +171,17 @@ def normalize_rows(rows: np.ndarray) -> PrototypeMatrix:
     return PrototypeMatrix(rows / norms[:, None], normalized=True)
 
 
-def _check_epsilon(epsilon: float) -> None:
+def min_epsilon(d: int) -> float:
+    """The least positive epsilon accepted at dimension d (module docstring)."""
+    return (d + 3) * 2.0**-51
+
+
+def _check_epsilon(epsilon: float, d: int) -> None:
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
+    if 0.0 < epsilon < min_epsilon(d):
+        raise ValueError(f"epsilon must be 0 or at least min_epsilon = "
+                         f"{min_epsilon(d)!r} at D={d}, got {epsilon!r}")
 
 
 def count_unique(protos: PrototypeMatrix, epsilon: float) -> CollapseReport:
@@ -169,7 +189,7 @@ def count_unique(protos: PrototypeMatrix, epsilon: float) -> CollapseReport:
     if not isinstance(protos, PrototypeMatrix) or not protos.normalized:
         raise StateError("count_unique requires a normalized PrototypeMatrix")
     epsilon = float(epsilon)
-    _check_epsilon(epsilon)
+    _check_epsilon(epsilon, protos.d)
     rows = protos.rows
     k = rows.shape[0]
     assignment = np.arange(k)
@@ -271,40 +291,10 @@ def _float32_band(rows: np.ndarray, epsilon: float):
     if not (d * _U32 <= 2.0**-7 and norm_sq <= 2.0):
         return None
     delta = 1.02 * ((d + 2) * _U32 + d * _U64) * norm_sq + d * 2.0**-120
-    t = _cover_threshold(epsilon)
+    c, width = 1.0 - epsilon, delta + 2.0**-22
     # every dot lies in [-3, 3], where these ends compare as the unclipped ones
-    lo = min(max(math.nextafter(t - delta, -math.inf), -4.0), 4.0)
-    hi = min(max(math.nextafter(t + delta, math.inf), -4.0), 4.0)
-    lo32, hi32 = np.float32(lo), np.float32(hi)
-    if float(lo32) > lo:
-        lo32 = np.nextafter(lo32, np.float32(-np.inf))
-    if float(hi32) < hi:
-        hi32 = np.nextafter(hi32, np.float32(np.inf))
-    return lo32, hi32
-
-
-def _cover_threshold(epsilon: float) -> float:
-    """The least double g with fl(1 - g) < epsilon, for finite epsilon > 0.
-
-    fl(1 - g) never rises with g, so a dot g covers iff g >= this value.  It
-    is found by bisection over the doubles of [-max, 1] in their integer
-    order: the first end never covers and the second always does.
-    """
-    def key(x: float) -> int:  # -0.0 and 0.0 share a key
-        bits = struct.unpack("<q", struct.pack("<d", x))[0]
-        return bits if bits >= 0 else -(bits & _MAGNITUDE)
-
-    def value(n: int) -> float:
-        return struct.unpack("<d", struct.pack("<Q", n if n >= 0 else -n | _SIGN))[0]
-
-    lo, hi = key(-sys.float_info.max), key(1.0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if 1.0 - value(mid) < epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return value(hi)
+    return (np.float32(min(max(c - width, -4.0), 4.0)),
+            np.float32(min(max(c + width, -4.0), 4.0)))
 
 
 def epsilon_sweep(protos: PrototypeMatrix, epsilons) -> list[CollapseReport]:
@@ -315,7 +305,7 @@ def epsilon_sweep(protos: PrototypeMatrix, epsilons) -> list[CollapseReport]:
     if not eps:
         raise ConfigError("epsilons", "epsilon list is empty")
     for e in eps:
-        _check_epsilon(e)
+        _check_epsilon(e, protos.d)
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise ConfigError("epsilons", f"must be strictly ascending, got {eps}")
     return [count_unique(protos, e) for e in eps]

@@ -13,6 +13,8 @@ partition also runs on a few hundred rows of low dimension.
 """
 
 import math
+import struct
+import sys
 
 import numpy as np
 
@@ -314,6 +316,35 @@ def oracle_greedy_partition(rows, epsilon):
             reps.append(i)
         assignment.append(owner)
     return assignment, reps
+
+
+# the sign bit of a double and the bits of its magnitude
+_SIGN = 1 << 63
+_MAGNITUDE = _SIGN - 1
+
+
+def oracle_cover_threshold(epsilon: float) -> float:
+    """The least double g with fl(1 - g) < epsilon, for finite epsilon > 0.
+
+    fl(1 - g) never rises with g, so a dot g covers iff g >= this value.  It
+    is found by bisection over the doubles of [-max, 1] in their integer
+    order: the first end never covers and the second always does.
+    """
+    def key(x: float) -> int:  # -0.0 and 0.0 share a key
+        bits = struct.unpack("<q", struct.pack("<d", x))[0]
+        return bits if bits >= 0 else -(bits & _MAGNITUDE)
+
+    def value(n: int) -> float:
+        return struct.unpack("<d", struct.pack("<Q", n if n >= 0 else -n | _SIGN))[0]
+
+    lo, hi = key(-sys.float_info.max), key(1.0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if 1.0 - value(mid) < epsilon:
+            hi = mid
+        else:
+            lo = mid
+    return value(hi)
 
 
 def oracle_greedy_unique(rows, epsilon):

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -17,6 +19,8 @@ from protostream.collapse import (
     epsilon_sweep,
     normalize_rows,
 )
+from protostream.checkpoint import write_matrix_csv
+from protostream.cli import main
 from protostream.collapse import StateError
 from protostream.settings import ConfigError
 
@@ -154,13 +158,8 @@ def clustered_rows(seed, k, d, n_base, noise):
     return normalize_rows(rows)
 
 
-# the smallest positive double, one below the float64 dot error of unit
-# rows, one that leaves only antipodal rows apart and one that covers every
-# row.  Below 2**-53 an exact duplicate's self-dot decides, whose last bit
-# depends on the order of its sum, which a GEMM and the oracle's loop do not
-# share: those two go only to fixtures whose dots are exact in any order
-EDGE_EPSILONS = (5e-324, 1e-16, 2.0, 10.0)
-WIDE_EPSILONS = (2.0, 10.0)
+# one that leaves only antipodal rows apart and one that covers every row
+EDGE_EPSILONS = (2.0, 10.0)
 # 64 was the block size before the float32 screen
 BLOCK_SIZES = [1, 7, 64, collapse._COUNT_BLOCK, 256]
 
@@ -179,7 +178,7 @@ class TestCountUniqueBlocked:
         protos = clustered_rows(seed, k, d, n_base, noise)
         rows = protos.rows.tolist()
         with mock.patch.object(collapse, "_COUNT_BLOCK", block):
-            for eps in DEFAULT_EPSILON_GRID + WIDE_EPSILONS:
+            for eps in DEFAULT_EPSILON_GRID + EDGE_EPSILONS + (collapse.min_epsilon(d),):
                 report = count_unique(protos, eps)
                 assignment, reps = oracles.oracle_greedy_partition(rows, eps)
                 sizes = np.bincount(assignment, minlength=len(reps)).tolist()
@@ -356,7 +355,7 @@ class TestCountUniqueScreen:
         rows = dyadic_rows(3 * collapse._COUNT_BLOCK + 5, seed=block)
         protos = PrototypeMatrix(rows, normalized=True)
         with mock.patch.object(collapse, "_COUNT_BLOCK", block):
-            for eps in DEFAULT_EPSILON_GRID + EDGE_EPSILONS:
+            for eps in DEFAULT_EPSILON_GRID + EDGE_EPSILONS + (collapse.min_epsilon(4),):
                 report = count_unique(protos, eps)
                 assignment, reps = oracles.oracle_greedy_partition(rows.tolist(), eps)
                 assert report.representative_indices == reps, eps
@@ -373,12 +372,29 @@ class TestCountUniqueScreen:
                 assert report.unique_count == 140 + int((levels >= eps).sum())
         assert exact.calls == 0
 
-    @pytest.mark.parametrize("eps", DEFAULT_EPSILON_GRID[1:] + EDGE_EPSILONS
-                             + (1.0, sys.float_info.max))
-    def test_cover_threshold_is_the_least_covering_dot(self, eps):
-        t = collapse._cover_threshold(eps)
-        assert 1.0 - t < eps
-        assert not 1.0 - math.nextafter(t, -math.inf) < eps
+    @pytest.mark.parametrize("d", [4, 64, 2**17])
+    def test_band_contains_threshold_plus_minus_delta(self, d):
+        # exact arithmetic on the doubles: where an end of the band can meet
+        # a dot, lo <= t - delta and hi >= t + delta; where hi lies below
+        # every dot, so does t + delta, and every dot covers.  One unit row
+        # makes the squared norm n of the bound 1
+        rows = np.eye(1, d)
+        delta = (Fraction(102, 100) * ((d + 2) * Fraction(2)**-24 + d * Fraction(2)**-53)
+                 + d * Fraction(2)**-120)
+        bits = np.random.default_rng(d).integers(1, 0x7FF0000000000000, size=2000)
+        epsilons = (DEFAULT_EPSILON_GRID[1:]
+                    + (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0))
+                    + (2.0, 10.0, 1e300, sys.float_info.max, collapse.min_epsilon(d))
+                    + tuple(bits.view(np.float64).tolist()))
+        for eps in epsilons:
+            lo, hi = (Fraction(float(end)) for end in collapse._float32_band(rows, eps))
+            t = Fraction(oracles.oracle_cover_threshold(eps))
+            if -3 <= lo <= 3:
+                assert lo <= t - delta, eps
+            if -3 <= hi <= 3:
+                assert hi >= t + delta, eps
+            elif hi < -3:
+                assert t + delta <= -3, eps
 
     @pytest.mark.parametrize("d, value, screened", [
         (4, 0.5, True), (4, 0.75, False),  # squared norm 1, then above 2
@@ -434,6 +450,58 @@ class TestEpsilonSweep:
         protos = normalize_rows(np.eye(3))
         with pytest.raises(ValueError, match="finite"):
             epsilon_sweep(protos, [0.5, float("nan"), 0.1])
+
+
+# the smallest positive double and one below the float64 dot error of unit
+# rows: there an exact duplicate merges only if its computed self-dot,
+# whose last bits depend on the order of its sum, reaches the threshold
+TINY_EPSILONS = (5e-324, 1e-16)
+
+
+class TestEpsilonFloor:
+    """A positive epsilon below min_epsilon(D) is refused; from it on, exact
+    duplicates merge whatever the order of the sums."""
+
+    @pytest.mark.parametrize("eps", TINY_EPSILONS
+                             + (math.nextafter(collapse.min_epsilon(3), 0.0),))
+    def test_count_unique_refuses(self, eps):
+        protos = clustered_rows(1, 700, 3, 5, 0.0)
+        with pytest.raises(ValueError, match=r"min_epsilon = .* at D=3"):
+            count_unique(protos, eps)
+
+    @pytest.mark.parametrize("eps", TINY_EPSILONS)
+    def test_sweep_refuses_before_the_first_count(self, eps):
+        protos = normalize_rows(np.eye(3))
+        with mock.patch.object(collapse, "count_unique") as count:
+            with pytest.raises(ValueError, match="min_epsilon"):
+                epsilon_sweep(protos, [0.0, 0.025, eps])
+        count.assert_not_called()
+
+    @pytest.mark.parametrize("eps", TINY_EPSILONS)
+    def test_analyze_exits_2(self, tmp_path, capsys, eps):
+        protos = tmp_path / "protos.csv"
+        write_matrix_csv(np.eye(3), protos)
+        out = tmp_path / "sweep.csv"
+        assert main(["analyze", "--protos", str(protos), "--out", str(out),
+                     "--epsilons", f"0,{eps!r}"]) == 2
+        assert "min_epsilon" in capsys.readouterr().err
+        assert not out.exists()
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["exit_code"] == 2
+
+    @pytest.mark.parametrize("block", BLOCK_SIZES)
+    def test_duplicates_merge_at_the_floor(self, block):
+        # five distinct rows, each copied many times: the GEMM gave 415
+        # partitions at 1e-16 and the oracle 425
+        protos = clustered_rows(1, 700, 3, 5, 0.0)
+        rows = protos.rows.tolist()
+        eps = collapse.min_epsilon(3)
+        with mock.patch.object(collapse, "_COUNT_BLOCK", block):
+            report = count_unique(protos, eps)
+        assignment, reps = oracles.oracle_greedy_partition(rows, eps)
+        assert report.representative_indices == reps
+        assert report.partition_sizes == np.bincount(assignment).tolist()
+        assert report.unique_count == 5
 
 
 class TestAngularStats:

@@ -1,5 +1,8 @@
 """Sanity checks for the brute-force references themselves."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -77,3 +80,12 @@ class TestBessel:
         # I0(0) = 1 and I0 is even and increasing on the positive axis
         assert oracles.bessel_i0(0.0) == 1.0
         assert oracles.bessel_i0(2.0) > oracles.bessel_i0(1.0) > 1.0
+
+
+class TestCoverThreshold:
+    @pytest.mark.parametrize("eps", [0.025, 0.05, 0.1, 0.25, 0.5, 5e-324, 1e-16,
+                                     2.0, 10.0, 1.0, sys.float_info.max])
+    def test_cover_threshold_is_the_least_covering_dot(self, eps):
+        t = oracles.oracle_cover_threshold(eps)
+        assert 1.0 - t < eps
+        assert not 1.0 - math.nextafter(t, -math.inf) < eps
